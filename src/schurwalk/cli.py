@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import classification_to_json, classify, flat_band_state
+from .classify import DEFAULT_EPSILON, classification_to_json, classify, flat_band_state
 from .errors import EigensolverFailure, ParseError, SchurWalkError, ZeroLaplacian
 from .graphs import (
     Graph,
@@ -31,12 +31,11 @@ from .graphs import (
     path_graph,
 )
 from .entropy import vertex_entropy, von_neumann_entropy
-from .mixing import average_mixing, mixing_to_json
+from .mixing import average_mixing, averaged_weights, mixing_to_json
 from .spectral import DEFAULT_GROUPING_TOL, decompose
 from .states import basis_state, edge_state, induced_graph, schur_state, uniform_state
-from .treecount import tree_count_det, tree_count_enum
+from .treecount import scaled_unit_identity, tree_count_det, tree_count_enum
 
-DEFAULT_EPSILON = 1e-7
 DEFAULT_TIMES = "0.0,1.0,2.0,3.0,4.0,5.0"
 
 
@@ -153,7 +152,7 @@ def _parse_weight_file(path: str, m: int) -> np.ndarray:
 
 def _treecount_report(cfg: RunConfig, g: Graph) -> str:
     spec = cfg.weight_spec or "unit"
-    n, m = g.n_vertices, g.n_edges
+    m = g.n_edges
     if spec == "unit":
         weights = np.ones(m)
         rhs_kind = "oracle"
@@ -168,7 +167,7 @@ def _treecount_report(cfg: RunConfig, g: Graph) -> str:
         if not 0 <= q < m:
             raise ParseError(f"edge index {q} out of range for {m} edges")
         spectrum = decompose(np.asarray(adjacency_of_line(g), float), cfg.grouping_tol)
-        weights = average_mixing(spectrum)[:, q]
+        weights = averaged_weights(spectrum, basis_state(m, q))
         rhs_kind = "oracle"
     elif spec.startswith("file:"):
         weights = _parse_weight_file(spec[len("file:") :], m)
@@ -177,12 +176,10 @@ def _treecount_report(cfg: RunConfig, g: Graph) -> str:
         raise ParseError(f"unknown weight spec {spec!r}")
 
     wg = WeightedGraph(g, weights)
-    lhs = tree_count_det(wg).value
     if rhs_kind == "identity":
-        unit = tree_count_det(WeightedGraph(g, np.ones(m))).value
-        rhs = unit / m ** (n - 1)
-        passed = abs(lhs - rhs) < 1e-9
+        lhs, rhs, passed = scaled_unit_identity(wg)
     else:
+        lhs = tree_count_det(wg).value
         rhs = tree_count_enum(wg).value
         passed = abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
     report = {

@@ -160,14 +160,47 @@ def is_connected(g: Graph) -> bool:
 
 
 def bridges(g: Graph) -> list[int]:
-    """Indices of edges whose removal increases the number of components."""
-    base = len(connected_components(g))
+    """Indices of edges whose removal increases the number of components, sorted.
+
+    Tarjan's low-link pass (Tarjan, IPL 1974), made iterative so that long
+    paths cannot exhaust the recursion limit: a tree edge into ``w`` is a
+    bridge exactly when no edge from the subtree of ``w`` reaches above it.
+    Linear in vertices plus edges.
+    """
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(g.n_vertices)]
+    for idx, (u, v) in enumerate(g.edges):
+        incident[u].append((v, idx))
+        incident[v].append((u, idx))
+
+    order = [-1] * g.n_vertices  # discovery time, -1 while unvisited
+    low = [0] * g.n_vertices  # earliest discovery time reachable from the subtree
+    clock = 0
     found = []
-    for idx in range(g.n_edges):
-        reduced = Graph(g.n_vertices, g.edges[:idx] + g.edges[idx + 1 :])
-        if len(connected_components(reduced)) > base:
-            found.append(idx)
-    return found
+    for root in range(g.n_vertices):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = clock
+        clock += 1
+        stack = [(root, -1, iter(incident[root]))]
+        while stack:
+            vertex, via, pending = stack[-1]
+            for nxt, idx in pending:
+                if idx == via:
+                    continue
+                if order[nxt] < 0:
+                    order[nxt] = low[nxt] = clock
+                    clock += 1
+                    stack.append((nxt, idx, iter(incident[nxt])))
+                    break
+                low[vertex] = min(low[vertex], order[nxt])
+            else:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    low[parent] = min(low[parent], low[vertex])
+                    if low[vertex] > order[parent]:
+                        found.append(via)
+    return sorted(found)
 
 
 def eulerian_trail(g: Graph) -> list[int]:

@@ -1,8 +1,12 @@
 """Average mixing matrices and time-averaged states.
 
-Everything here is an infinite-time average, computed exactly from spectral
-projectors rather than by integrating; the quadrature route exists only as a
-test oracle (see :func:`schurwalk.spectral.numeric_time_average`).
+Everything here is an infinite-time average, computed exactly from the
+eigenbasis of a :class:`~schurwalk.spectral.Spectrum` one eigenvalue group at
+a time, never from dense projectors held together and never by integrating;
+the quadrature route exists only as a test oracle (see
+:func:`schurwalk.spectral.numeric_time_average`).  The averaged edge weights of
+a pure state, which are also one column of the mixing matrix, need only
+vectors: ``sum_g |V_g V_g^T e|^2`` with no m x m density.
 """
 
 from __future__ import annotations
@@ -20,24 +24,57 @@ from .states import InducedWeightedGraph, edge_state, induced_from_adjacency
 def average_mixing(spectrum: Spectrum) -> np.ndarray:
     """Average mixing matrix: sum of the entrywise squares of the projectors.
 
-    Real, symmetric, doubly stochastic, positive semidefinite, and entrywise
-    nonnegative.
+    Streams over the degenerate eigenvalue groups, forming one projector
+    ``V_g V_g^T`` at a time.  The projector ``v v^T`` of a simple eigenvalue
+    squares entrywise to ``(v*v)(v*v)^T``, so the simple eigenvalues together
+    cost one product.  Real, symmetric, doubly stochastic, positive
+    semidefinite, and entrywise nonnegative.
     """
-    n = spectrum.dimension
-    out = np.zeros((n, n))
-    for proj in spectrum.projectors:
-        out += proj * proj
+    v = spectrum.basis
+    simple = np.bincount(spectrum.group_ids)[spectrum.group_ids] == 1
+    squares = v[:, simple] ** 2
+    out = squares @ squares.T
+    for cols in spectrum.group_columns():
+        if cols.stop - cols.start > 1:
+            proj = v[:, cols] @ v[:, cols].T
+            out += proj * proj
     return out
 
 
-def averaged_density(spectrum: Spectrum, e: np.ndarray) -> np.ndarray:
-    """Time-averaged density matrix of the pure state ``|e><e|``."""
+def _checked_state(spectrum: Spectrum, e: np.ndarray) -> np.ndarray:
     vec = edge_state(e)
     if vec.shape != (spectrum.dimension,):
         raise DimensionMismatch(
             f"state has {vec.shape[0]} amplitudes, spectrum dimension is {spectrum.dimension}"
         )
+    return vec
+
+
+def averaged_density(spectrum: Spectrum, e: np.ndarray) -> np.ndarray:
+    """Time-averaged density matrix of the pure state ``|e><e|``."""
+    vec = _checked_state(spectrum, e)
     return dephase(spectrum, np.outer(vec, vec.conj()))
+
+
+def averaged_weights(spectrum: Spectrum, e: np.ndarray) -> np.ndarray:
+    """Diagonal of the time-averaged density of ``|e><e|``, without forming it.
+
+    Entry ``p`` is ``sum_g |(P_g e)_p|^2``.  ``P_g e = V_g V_g^T e`` is column
+    ``g`` of ``V C``, where ``C`` spreads the coefficients ``V^T e`` into one
+    column per group; the cost is O(m^2 k).  For the basis state on edge
+    ``q`` this is column ``q`` of :func:`average_mixing`.
+    """
+    vec = _checked_state(spectrum, e)
+    v, gids = spectrum.basis, spectrum.group_ids
+    rows = np.arange(spectrum.dimension)
+    out = np.zeros(spectrum.dimension)
+    # The projectors are real, so |P e|^2 = |P Re e|^2 + |P Im e|^2.
+    for part in (vec.real, vec.imag):
+        if part.any():
+            spread = np.zeros((spectrum.dimension, len(spectrum.distinct_eigenvalues)))
+            spread[rows, gids] = v.T @ part
+            out += ((v @ spread) ** 2).sum(axis=1)
+    return out
 
 
 def averaged_induced(spectrum: Spectrum, g: Graph, e: np.ndarray) -> InducedWeightedGraph:
@@ -51,8 +88,7 @@ def averaged_induced(spectrum: Spectrum, g: Graph, e: np.ndarray) -> InducedWeig
         raise DimensionMismatch(
             f"graph has {g.n_edges} edges, spectrum dimension is {spectrum.dimension}"
         )
-    rho_hat = averaged_density(spectrum, e)
-    weights = rho_hat.diagonal().real
+    weights = averaged_weights(spectrum, e)
     adj = np.zeros((g.n_vertices, g.n_vertices))
     for idx, (u, v) in enumerate(g.edges):
         adj[u, v] = weights[idx]

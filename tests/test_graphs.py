@@ -119,6 +119,25 @@ def test_bridges():
     assert bridges(figure_eight_graph()) == []
 
 
+def test_bridges_match_networkx_on_random_graphs():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        n = int(rng.integers(1, 13))
+        density = rng.uniform(0.05, 0.6)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+        g = Graph(n, tuple(pairs))
+        reference = nx.Graph()
+        reference.add_nodes_from(range(n))
+        reference.add_edges_from(g.edges)
+        expected = sorted(g.edges.index((min(a, b), max(a, b))) for a, b in nx.bridges(reference))
+        assert bridges(g) == expected
+
+
+def test_bridges_on_a_long_path_needs_no_recursion():
+    assert bridges(path_graph(5000)) == list(range(4999))
+
+
 def _check_closed_trail(g: Graph, trail: list[int]) -> None:
     assert sorted(trail) == list(range(g.n_edges))
     start = g.edges[trail[0]][0]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from schurwalk import (
     Graph,
@@ -11,6 +12,7 @@ from schurwalk import (
     average_mixing,
     averaged_density,
     averaged_induced,
+    averaged_weights,
     basis_state,
     cycle_graph,
     decompose,
@@ -25,6 +27,7 @@ from schurwalk import (
 )
 from schurwalk.acceptance import random_connected_graph, random_edge_state
 from schurwalk.errors import DimensionMismatch
+from spectra import random_state, seeds, symmetric_matrices
 
 
 def _line_spectrum(g):
@@ -131,3 +134,39 @@ def test_quadrature_agrees_with_averaged_density():
 def test_mixing_json_shape():
     text = mixing_to_json(path_mixing_closed_form(4))
     assert text.startswith('{"m": 3, "rows": [[0.375, ')
+
+
+# -- properties of the streamed mixing matrix and the pure-state weights -------
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@PROPERTY_SETTINGS
+@given(symmetric_matrices, seeds)
+def test_pure_state_weights_are_the_dephased_diagonal(a, seed):
+    s = decompose(a)
+    e = random_state(seed, s.dimension)
+    diagonal = dephase(s, np.outer(e, e.conj())).diagonal()
+    assert np.abs(averaged_weights(s, e) - diagonal).max() < 1e-12
+    real = e.real / np.linalg.norm(e.real)
+    diagonal = dephase(s, np.outer(real, real)).diagonal()
+    assert np.abs(averaged_weights(s, real) - diagonal).max() < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(symmetric_matrices)
+def test_mixing_columns_are_basis_state_weights_and_doubly_stochastic(a):
+    s = decompose(a)
+    m = s.dimension
+    mixed = average_mixing(s)
+    for q in range(m):
+        assert np.abs(mixed[:, q] - averaged_weights(s, basis_state(m, q))).max() < 1e-12
+    assert mixed.min() >= 0.0
+    assert np.abs(mixed.sum(axis=0) - 1.0).max() < 1e-12
+    assert np.abs(mixed.sum(axis=1) - 1.0).max() < 1e-12
+
+
+def test_averaged_weights_rejects_a_wrong_size_state():
+    s = _line_spectrum(path_graph(4))
+    with pytest.raises(DimensionMismatch):
+        averaged_weights(s, uniform_state(4))

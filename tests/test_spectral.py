@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurwalk import (
     adjacency_matrix,
@@ -18,6 +20,7 @@ from schurwalk import (
     path_graph,
 )
 from schurwalk.errors import DimensionMismatch, NotSymmetric
+from spectra import random_matrix, reference_eigenspaces, seeds, symmetric_matrices
 
 
 def _random_symmetric(rng, n):
@@ -132,3 +135,39 @@ def test_numeric_time_average_validates_arguments():
         numeric_time_average(s, np.zeros((2, 2)), 1.0, 1)
     with pytest.raises(DimensionMismatch):
         numeric_time_average(s, np.zeros((3, 3)), 1.0, 100)
+
+
+# -- properties of the eigenbasis Spectrum, against projectors built from eigh --
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@PROPERTY_SETTINGS
+@given(symmetric_matrices, seeds)
+def test_dephase_equals_the_projector_sum(a, seed):
+    s = decompose(a)
+    spaces = reference_eigenspaces(a)
+    assert len(s.distinct_eigenvalues) == len(spaces)
+    x = random_matrix(seed, s.dimension)
+    expected = sum(p @ x @ p for _, p in spaces)
+    assert np.abs(dephase(s, x) - expected).max() < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(symmetric_matrices, seeds)
+def test_dephase_is_idempotent_and_trace_preserving(a, seed):
+    s = decompose(a)
+    x = random_matrix(seed, s.dimension)
+    once = dephase(s, x)
+    assert np.abs(dephase(s, once) - once).max() < 1e-12
+    assert abs(np.trace(once) - np.trace(x)) < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(symmetric_matrices, st.floats(-20.0, 20.0))
+def test_evolve_is_unitary_and_matches_the_eigenspaces(a, t):
+    s = decompose(a)
+    u = evolve(s, t)
+    assert np.abs(u @ u.conj().T - np.eye(s.dimension)).max() < 1e-12
+    expected = sum(np.exp(1j * t * theta) * p for theta, p in reference_eigenspaces(a))
+    assert np.abs(u - expected).max() < 1e-12

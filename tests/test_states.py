@@ -139,6 +139,18 @@ def test_schur_inner_examples():
         schur_inner(m, other)
 
 
+def test_schur_inner_matches_the_all_ones_bilinear_form():
+    # Tr(M^dag N) is the all-ones bilinear form over conj(M) * N, entrywise.
+    rng = np.random.default_rng(23)
+    for _ in range(8):
+        g = random_connected_graph(rng, 2, 7)
+        s = _line_spectrum(g)
+        a = schur_state(g, random_edge_state(rng, g.n_edges), rng.uniform(0, 10), s)
+        b = schur_state(g, random_edge_state(rng, g.n_edges), rng.uniform(0, 10), s)
+        ones = np.ones(g.n_vertices)
+        assert abs(schur_inner(a, b) - ones @ (np.conj(a.entries) * b.entries) @ ones) < 1e-12
+
+
 def test_induced_graph_at_time_zero_and_total_weight():
     g = path_graph(4)
     s = _line_spectrum(g)

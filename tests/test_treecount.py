@@ -11,6 +11,7 @@ from schurwalk import (
     Graph,
     WeightedGraph,
     adjacency_matrix,
+    average_mixing,
     basis_state,
     bridge_factorization_check,
     complete_graph,
@@ -39,6 +40,7 @@ from schurwalk.errors import (
 )
 from schurwalk.graphs import is_connected
 from schurwalk.mixing import averaged_induced
+from schurwalk.treecount import scaled_unit_identity
 
 
 def _line_spectrum(g):
@@ -136,6 +138,32 @@ def test_main_theorem_preconditions():
         main_theorem_check(p4, basis_state(3, 1), _line_spectrum(p4))
 
 
+def test_main_theorem_compares_tiny_counts_relatively():
+    # On C_12 both counts are about 1e-11, far below an absolute 1e-9, yet a
+    # non-uniform full-support state makes them differ by tens of percent.
+    g = cycle_graph(12)
+    rng = np.random.default_rng(12)
+    state = rng.uniform(0.5, 1.5, 12) * np.exp(1j * rng.uniform(0, 2 * np.pi, 12))
+    report = main_theorem_check(g, state / np.linalg.norm(state), _line_spectrum(g))
+    assert report["rhs"] < 1e-9 and report["lhs"] < 1e-9
+    assert abs(report["lhs"] - report["rhs"]) > 1e-3 * report["rhs"]
+    assert report["passed"] is False
+
+
+def test_scaled_unit_identity_is_relative_and_logarithmic():
+    g = cycle_graph(12)
+    lhs, rhs, passed = scaled_unit_identity(WeightedGraph(g, np.full(12, 1 / 12)))
+    assert passed and abs(rhs - 12 / 12**11) <= 1e-15 * rhs and abs(lhs - rhs) <= 1e-12 * rhs
+    skewed = np.full(12, 1 / 12)
+    skewed[0] *= 1 + 1e-6
+    assert not scaled_unit_identity(WeightedGraph(g, skewed))[2]
+    # a count that vanishes never matches a positive target
+    zeroed = np.full(12, 1 / 12)
+    zeroed[:2] = 0.0
+    lhs, _, passed = scaled_unit_identity(WeightedGraph(g, zeroed))
+    assert lhs == 0.0 and not passed
+
+
 def test_bridge_factorization_examples():
     p3 = WeightedGraph(path_graph(3), np.array([0.4, 0.7]))
     report = bridge_factorization_check(p3, 0)
@@ -180,6 +208,18 @@ def test_pure_state_tree_counts_on_paths():
     assert abs(pure_state_tree_count(g, 0, s).value - 9 / 256) < 1e-12
     assert abs(pure_state_tree_count(g, 1, s).value - 1 / 32) < 1e-12
     assert abs(pure_state_tree_count(g, 2, s).value - 9 / 256) < 1e-12
+
+
+def test_pure_state_count_matches_enumeration():
+    rng = np.random.default_rng(41)
+    for _ in range(12):
+        g = random_connected_graph(rng, 3, 7)
+        s = _line_spectrum(g)
+        mixed = average_mixing(s)
+        for q in range(g.n_edges):
+            oracle = tree_count_enum(WeightedGraph(g, mixed[:, q])).value
+            value = pure_state_tree_count(g, q, s).value
+            assert abs(value - oracle) <= 1e-9 * max(1.0, abs(oracle))
 
 
 def test_pure_state_count_matches_phased_averaged_weights():
