@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,7 +35,7 @@ from .entropy import vertex_entropy, von_neumann_entropy
 from .mixing import average_mixing, averaged_weights, mixing_to_json
 from .spectral import DEFAULT_GROUPING_TOL, decompose
 from .states import basis_state, edge_state, induced_graph, schur_state, uniform_state
-from .treecount import scaled_unit_identity, tree_count_det, tree_count_enum
+from .treecount import IDENTITY_RTOL, scaled_unit_identity, tree_count_det, tree_count_exact
 
 DEFAULT_TIMES = "0.0,1.0,2.0,3.0,4.0,5.0"
 
@@ -142,9 +143,12 @@ def _parse_weight_file(path: str, m: int) -> np.ndarray:
         if not line or line.startswith("#"):
             continue
         try:
-            values.append(float(line))
+            value = float(line)
         except ValueError as exc:
             raise ParseError(f"{path}:{number}: expected a float") from exc
+        if not math.isfinite(value):
+            raise ParseError(f"{path}:{number}: weight {line!r} is not finite")
+        values.append(value)
     if len(values) != m:
         raise ParseError(f"{path}: expected {m} weights, found {len(values)}")
     return np.array(values)
@@ -155,10 +159,8 @@ def _treecount_report(cfg: RunConfig, g: Graph) -> str:
     m = g.n_edges
     if spec == "unit":
         weights = np.ones(m)
-        rhs_kind = "oracle"
     elif spec == "uniform":
         weights = np.full(m, 1.0 / m)
-        rhs_kind = "identity"
     elif spec.startswith("mixing:"):
         try:
             q = int(spec[len("mixing:") :])
@@ -166,22 +168,20 @@ def _treecount_report(cfg: RunConfig, g: Graph) -> str:
             raise ParseError(f"bad edge index in {spec!r}") from exc
         if not 0 <= q < m:
             raise ParseError(f"edge index {q} out of range for {m} edges")
-        spectrum = decompose(np.asarray(adjacency_of_line(g), float), cfg.grouping_tol)
+        spectrum = decompose(adjacency_matrix(line_graph(g)).astype(float), cfg.grouping_tol)
         weights = averaged_weights(spectrum, basis_state(m, q))
-        rhs_kind = "oracle"
     elif spec.startswith("file:"):
         weights = _parse_weight_file(spec[len("file:") :], m)
-        rhs_kind = "oracle"
     else:
         raise ParseError(f"unknown weight spec {spec!r}")
 
     wg = WeightedGraph(g, weights)
-    if rhs_kind == "identity":
+    if spec == "uniform":
         lhs, rhs, passed = scaled_unit_identity(wg)
     else:
         lhs = tree_count_det(wg).value
-        rhs = tree_count_enum(wg).value
-        passed = abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
+        rhs = tree_count_exact(wg).value
+        passed = abs(lhs - rhs) <= IDENTITY_RTOL * abs(rhs)
     report = {
         "lhs": float(lhs),
         "method": "determinant",
@@ -192,13 +192,9 @@ def _treecount_report(cfg: RunConfig, g: Graph) -> str:
     return json.dumps(report, sort_keys=True) + "\n"
 
 
-def adjacency_of_line(g: Graph) -> np.ndarray:
-    return adjacency_matrix(line_graph(g))
-
-
 def _entropy_csv(cfg: RunConfig, g: Graph) -> str:
     state = build_state(g, cfg.state_spec or "uniform")
-    spectrum = decompose(adjacency_of_line(g).astype(float), cfg.grouping_tol)
+    spectrum = decompose(adjacency_matrix(line_graph(g)).astype(float), cfg.grouping_tol)
     vn = von_neumann_entropy(np.outer(state, state.conj()))
     lines = [f"# von_neumann_entropy_bits = {vn!r}", "t,vertex_entropy_bits"]
     for t in cfg.time_samples:
@@ -232,11 +228,11 @@ def run_command(cfg: RunConfig) -> tuple[str, int]:
         comments.extend(f"{idx} = ({u}, {v})" for idx, (u, v) in enumerate(g.edges))
         return format_edge_list(lg, comments), 0
     if cfg.command == "mix":
-        spectrum = decompose(adjacency_of_line(g).astype(float), cfg.grouping_tol)
+        spectrum = decompose(adjacency_matrix(line_graph(g)).astype(float), cfg.grouping_tol)
         return mixing_to_json(average_mixing(spectrum)) + "\n", 0
     if cfg.command == "classify":
         state = build_state(g, cfg.state_spec or "uniform")
-        spectrum = decompose(adjacency_of_line(g).astype(float), cfg.grouping_tol)
+        spectrum = decompose(adjacency_matrix(line_graph(g)).astype(float), cfg.grouping_tol)
         rho = np.outer(state, state.conj())
         verdict = classify(rho, g, spectrum, cfg.epsilon)
         return classification_to_json(verdict) + "\n", 0

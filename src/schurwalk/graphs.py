@@ -46,11 +46,12 @@ class Graph:
         return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_vertices, dtype=int)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.bincount(_endpoints(self).ravel(), minlength=self.n_vertices)
+
+
+def _endpoints(g: Graph) -> np.ndarray:
+    """The canonical edges as an integer array of shape (n_edges, 2)."""
+    return np.array(g.edges, dtype=int).reshape(g.n_edges, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,9 +75,9 @@ class WeightedGraph:
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """0/1 adjacency matrix of ``g`` (integer dtype, exactly symmetric)."""
     a = np.zeros((g.n_vertices, g.n_vertices), dtype=int)
-    for u, v in g.edges:
-        a[u, v] = 1
-        a[v, u] = 1
+    u, v = _endpoints(g).T
+    a[u, v] = 1
+    a[v, u] = 1
     return a
 
 
@@ -93,27 +94,24 @@ def incidence_matrix(g: Graph) -> np.ndarray:
     ``B.T @ B == 2 I + adjacency(line_graph(g))``.
     """
     b = np.zeros((g.n_vertices, g.n_edges), dtype=int)
-    for idx, (u, v) in enumerate(g.edges):
-        b[u, idx] = 1
-        b[v, idx] = 1
+    b[_endpoints(g).T, np.arange(g.n_edges)] = 1
     return b
 
 
 def line_graph(g: Graph) -> Graph:
     """Graph on the edges of ``g``; two edges adjacent iff they share an endpoint.
 
-    Vertex ``p`` of the result is edge ``g.edges[p]``.
+    Vertex ``p`` of the result is edge ``g.edges[p]``.  The edges are read off
+    the strict upper triangle of the Gram matrix ``B^T B = 2 I + A(L(g))`` of
+    the incidence matrix ``B``: two distinct edges of a simple graph share at
+    most one endpoint, so every off-diagonal entry is 0 or 1.  ``B`` is built
+    in float so the product runs through BLAS; its entries are small integers,
+    so the product is exact.  Row-major order of the nonzero entries is already
+    the canonical edge order.
     """
-    m = g.n_edges
-    edges = []
-    for p in range(m):
-        up, vp = g.edges[p]
-        for q in range(p + 1, m):
-            uq, vq = g.edges[q]
-            shared = len({up, vp} & {uq, vq})
-            if shared == 1:
-                edges.append((p, q))
-    return Graph(m, tuple(edges))
+    b = incidence_matrix(g).astype(float)
+    p, q = np.nonzero(np.triu(b.T @ b, 1))
+    return Graph(g.n_edges, tuple(zip(p.tolist(), q.tolist())))
 
 
 def tensor_product(g1: Graph, g2: Graph) -> Graph:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, GraphMismatch, NotNormalized
-from .graphs import Graph, tensor_product
-from .spectral import Spectrum, evolve
+from .graphs import Graph, _endpoints, tensor_product
+from .spectral import Spectrum
 
 NORM_TOL = 1e-12
 
@@ -74,7 +74,9 @@ def schur_state(g: Graph, e: np.ndarray, t: float, spectrum: Spectrum) -> SchurS
     ``spectrum`` must decompose the adjacency matrix of ``line_graph(g)``.
     For each edge ``{v, w}`` with ``v < w`` the walked amplitude on that edge
     is stored at ``[v, w]`` and its conjugate at ``[w, v]``; all other entries
-    are zero.
+    are zero.  The walk acts on the vector alone, as
+    ``V (exp(i t theta) * (V^T e))`` in the eigenbasis ``V``: two
+    matrix-vector products, and the unitary ``exp(i t A)`` is never formed.
     """
     vec = edge_state(e)
     m = g.n_edges
@@ -84,11 +86,13 @@ def schur_state(g: Graph, e: np.ndarray, t: float, spectrum: Spectrum) -> SchurS
         raise DimensionMismatch(
             f"spectrum dimension {spectrum.dimension} does not match {m} edges"
         )
-    amps = evolve(spectrum, t) @ vec
+    basis = spectrum.basis
+    phases = np.exp(1j * t * spectrum.distinct_eigenvalues[spectrum.group_ids])
+    amps = basis @ (phases * (basis.T @ vec))
     entries = np.zeros((g.n_vertices, g.n_vertices), dtype=complex)
-    for idx, (u, v) in enumerate(g.edges):
-        entries[u, v] = amps[idx]
-        entries[v, u] = np.conj(amps[idx])
+    u, v = _endpoints(g).T
+    entries[u, v] = amps
+    entries[v, u] = amps.conj()
     return SchurState(entries, g)
 
 

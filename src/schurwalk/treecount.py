@@ -1,9 +1,11 @@
-"""Weighted spanning-tree counts: determinant route, enumeration oracle, and checks.
+"""Weighted spanning-tree counts: determinant routes, enumeration oracle, and checks.
 
 The determinant route is the matrix-tree theorem: any principal minor of the
-weighted Laplacian.  The enumeration route walks every (n-1)-edge subset and
-keeps the spanning trees; it is the independently trustworthy oracle and is
-capped at 24 edges.  A single-vertex graph counts 1 (the empty product), which
+weighted Laplacian, in floating point.  The exact route evaluates the same
+minor in integer arithmetic and rounds once, with no size cap.  The
+enumeration route walks every (n-1)-edge subset and keeps the spanning
+trees; it is the independently trustworthy oracle of the tests and is capped
+at 24 edges.  A single-vertex graph counts 1 (the empty product), which
 the bridge factorization relies on when a bridge endpoint is a leaf.
 """
 
@@ -42,7 +44,7 @@ IDENTITY_RTOL = 1e-9
 @dataclass(frozen=True)
 class TreeCount:
     value: float
-    method: str  # "determinant" or "enumeration"
+    method: str  # "determinant", "exact" or "enumeration"
 
 
 def weighted_laplacian(wg: WeightedGraph) -> np.ndarray:
@@ -70,6 +72,62 @@ def tree_count_det(wg: WeightedGraph, deleted_index: int = 0) -> TreeCount:
     lap = weighted_laplacian(wg)
     minor = np.delete(np.delete(lap, deleted_index, axis=0), deleted_index, axis=1)
     return TreeCount(float(np.linalg.det(minor)), "determinant")
+
+
+def _bareiss_det(rows: list[list[int]]) -> int:
+    """Determinant of a positive semidefinite integer matrix, by fraction-free elimination.
+
+    Bareiss (Math. Comp. 22, 1968): after step ``k`` every entry is a minor
+    of the input, so each division by the previous pivot is exact and the
+    integers grow only as fast as the minors do.  The pivot at step ``k`` is
+    the leading principal minor of order ``k + 1``; in a positive
+    semidefinite matrix a vanishing one makes the whole matrix singular, so
+    no row exchange is needed.
+    """
+    a = [row[:] for row in rows]
+    size = len(a)
+    previous = 1
+    for k in range(size):
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        if pivot == 0:
+            return 0
+        for row in a[k + 1 :]:
+            factor = row[k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * pivot - factor * pivot_row[j]) // previous
+        previous = pivot
+    return previous
+
+
+def tree_count_exact(wg: WeightedGraph) -> TreeCount:
+    """Weighted spanning-tree count in exact arithmetic, rounded once to float.
+
+    Each float weight is exactly the ratio of integers
+    ``float(w).as_integer_ratio()``.  Scaled by the common denominator ``d``
+    of all weights the Laplacian is integral; its minor without vertex 0,
+    which is positive semidefinite because the weights are nonnegative, goes
+    through :func:`_bareiss_det`, and the count is that determinant over
+    ``d**(n-1)``.  Python's integer true division rounds correctly, so that
+    quotient is the only rounding and the value is the correctly rounded
+    count at every size.
+    """
+    n = wg.graph.n_vertices
+    if n == 0:
+        raise EmptyGraph("graph has no vertices")
+    if not np.isfinite(wg.weights).all():
+        raise ValueError("weights must be finite")
+    ratios = [float(w).as_integer_ratio() for w in wg.weights]
+    scale = math.lcm(1, *(den for _, den in ratios))
+    lap = [[0] * n for _ in range(n)]
+    for (u, v), (num, den) in zip(wg.graph.edges, ratios):
+        w = num * (scale // den)
+        lap[u][v] -= w
+        lap[v][u] -= w
+        lap[u][u] += w
+        lap[v][v] += w
+    det = _bareiss_det([row[1:] for row in lap[1:]])
+    return TreeCount(det / scale ** (n - 1), "exact")
 
 
 def log_tree_count(wg: WeightedGraph) -> float:

@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from schurwalk import (
     Graph,
@@ -19,6 +21,7 @@ from schurwalk import (
     cycle_graph,
     decompose,
     dephase,
+    eulerian_trail,
     figure_eight_graph,
     flat_band_state,
     incidence_matrix,
@@ -41,6 +44,7 @@ from schurwalk.errors import (
     OddDegreeVertex,
     OddEdgeCount,
 )
+from schurwalk.graphs import is_connected
 
 
 def _line_spectrum(g):
@@ -182,6 +186,47 @@ def test_flat_band_cycle_and_complete_graph():
     assert not (incidence_matrix(k5) @ fb.signs).any()
     image = adjacency_matrix(line_graph(k5)) @ fb.signs
     assert (image == -2 * fb.signs).all()
+
+
+@st.composite
+def even_connected_graphs(draw) -> Graph:
+    """Connected graph with every degree even and an even number of edges.
+
+    A Hamiltonian cycle, then the symmetric difference with random triangles:
+    each triangle keeps every degree even and flips the parity of the edge
+    count.
+    """
+    n = draw(st.integers(3, 9))
+    order = draw(st.permutations(range(n)))
+    edges = {frozenset((order[i], order[i - 1])) for i in range(n)}
+    corners = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
+    for a, b, c in draw(st.lists(corners, max_size=6)):
+        edges ^= {frozenset((a, b)), frozenset((b, c)), frozenset((a, c))}
+    g = Graph(n, tuple(tuple(sorted(edge)) for edge in edges))
+    assume(g.n_edges % 2 == 0 and is_connected(g))
+    return g
+
+
+@settings(max_examples=80, deadline=None)
+@given(even_connected_graphs())
+def test_flat_band_state_on_even_graphs(h):
+    trail = eulerian_trail(h)
+    assert sorted(trail) == list(range(h.n_edges))
+    start = current = h.edges[trail[0]][0]
+    for idx in trail:
+        u, v = h.edges[idx]
+        assert current in (u, v)
+        current = v if current == u else u
+    assert current == start
+    try:
+        import networkx as nx
+    except ImportError:
+        pass
+    else:
+        assert nx.is_eulerian(nx.Graph(h.edges))
+
+    signs = flat_band_state(h).signs
+    assert (adjacency_matrix(line_graph(h)) @ signs == -2 * signs).all()
 
 
 def test_flat_band_preconditions():

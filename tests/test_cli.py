@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 
-from schurwalk import complete_graph, parse_edge_list
+from schurwalk import complete_graph, format_edge_list, parse_edge_list
 from schurwalk.cli import build_parser, config_from_args, main, run_command
 
 
@@ -83,6 +83,21 @@ def test_treecount_from_weight_file(tmp_path):
     data = json.loads(text)
     expected = 0.3 * 0.5 + 0.5 * 0.9 + 0.9 * 0.3
     assert abs(data["lhs"] - expected) < 1e-12 and data["passed"]
+
+
+def test_treecount_unit_weights_has_no_edge_cap(tmp_path):
+    k8 = tmp_path / "k8.edges"
+    k8.write_text(format_edge_list(complete_graph(8)))  # 28 edges, over the enumeration cap
+    text, code = run_cli(["treecount", "--input", str(k8)])
+    data = json.loads(text)
+    assert code == 0 and data["rhs"] == 262144.0 and data["passed"]
+
+
+def test_treecount_rejects_non_finite_weights(tmp_path, capsys):
+    weight_file = tmp_path / "weights.txt"
+    weight_file.write_text("0.3\nnan\n0.9\n")
+    assert main(["treecount", "--builtin", "k3", "--weights", f"file:{weight_file}"]) == 2
+    capsys.readouterr()
 
 
 def test_entropy_time_series():

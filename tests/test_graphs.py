@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurwalk import (
     Graph,
@@ -64,6 +68,76 @@ def test_line_graph_reference_pairs():
 
 def test_line_graph_of_single_edge_is_a_point():
     assert line_graph(Graph(2, ((0, 1),))) == Graph(1, ())
+
+
+def test_builders_on_graphs_without_edges():
+    for n in (0, 1, 4):
+        g = Graph(n, ())
+        assert line_graph(g) == Graph(0, ())
+        assert adjacency_matrix(g).shape == (n, n) and not adjacency_matrix(g).any()
+        assert incidence_matrix(g).shape == (n, 0)
+        assert g.degrees().shape == (n,) and not g.degrees().any()
+
+
+def test_builders_with_isolated_vertices():
+    g = Graph(6, ((1, 3), (3, 4)))  # vertices 0, 2 and 5 are isolated
+    assert g.degrees().tolist() == [0, 1, 0, 2, 1, 0]
+    assert incidence_matrix(g).tolist() == [[0, 0], [1, 0], [0, 0], [1, 1], [0, 1], [0, 0]]
+    assert adjacency_matrix(g)[[0, 2, 5]].sum() == 0
+    assert line_graph(g) == Graph(2, ((0, 1),))
+
+
+def test_line_graph_of_complete_graphs():
+    for n in range(2, 8):
+        lg = line_graph(complete_graph(n))
+        # the triangular graph: C(n, 2) vertices, each of degree 2(n - 2)
+        assert lg.n_vertices == n * (n - 1) // 2
+        assert (lg.degrees() == 2 * (n - 2)).all()
+        assert lg.n_edges == lg.n_vertices * (n - 2)
+
+
+def test_line_graph_matches_networkx_on_random_graphs():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        n = int(rng.integers(1, 12))
+        density = rng.uniform(0.05, 0.8)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+        g = Graph(n, tuple(pairs))
+        index = {frozenset(edge): p for p, edge in enumerate(g.edges)}
+        reference = nx.line_graph(nx.Graph(g.edges))
+        expected = sorted(
+            tuple(sorted((index[frozenset(a)], index[frozenset(b)]))) for a, b in reference.edges
+        )
+        assert line_graph(g) == Graph(g.n_edges, tuple(expected))
+
+
+@st.composite
+def simple_graphs(draw, max_vertices: int = 9) -> Graph:
+    """Any simple graph on up to ``max_vertices`` vertices, the empty one included."""
+    n = draw(st.integers(0, max_vertices))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, tuple(pair for pair, kept in zip(pairs, keep) if kept))
+
+
+@settings(max_examples=80, deadline=None)
+@given(simple_graphs())
+def test_builders_match_plain_loops(g):
+    n, m = g.n_vertices, g.n_edges
+    adjacency = np.zeros((n, n), dtype=int)
+    incidence = np.zeros((n, m), dtype=int)
+    degrees = np.zeros(n, dtype=int)
+    for idx, (u, v) in enumerate(g.edges):
+        adjacency[u, v] = adjacency[v, u] = 1
+        incidence[u, idx] = incidence[v, idx] = 1
+        degrees[u] += 1
+        degrees[v] += 1
+    assert (adjacency_matrix(g) == adjacency).all() and adjacency_matrix(g).shape == (n, n)
+    assert (incidence_matrix(g) == incidence).all() and incidence_matrix(g).shape == (n, m)
+    assert (g.degrees() == degrees).all() and g.degrees().shape == (n,)
+    gram = incidence.T @ incidence - 2 * np.eye(m, dtype=int)
+    assert (adjacency_matrix(line_graph(g)) == gram).all()
 
 
 def test_incidence_small_examples():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurwalk import (
     Graph,
@@ -13,6 +15,7 @@ from schurwalk import (
     complete_graph,
     decompose,
     edge_state,
+    evolve,
     induced_graph,
     line_graph,
     path_graph,
@@ -26,6 +29,7 @@ from schurwalk import (
 )
 from schurwalk.acceptance import random_connected_graph, random_edge_state
 from schurwalk.errors import DimensionMismatch, GraphMismatch, NotNormalized
+from spectra import seeds
 
 
 def _line_spectrum(g):
@@ -111,6 +115,21 @@ def test_schur_state_is_linear_in_the_edge_state():
     for q in range(g.n_edges):
         accumulated += real_amplitudes[q] * schur_state(g, basis_state(g.n_edges, q), t, s).entries
     assert np.abs(combined.entries - accumulated).max() < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=4))
+def test_schur_state_walks_like_the_full_unitary(seed, times):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, 2, 8)
+    s = _line_spectrum(g)
+    e = random_edge_state(rng, g.n_edges)
+    rows, cols = np.array(g.edges).T
+    for t in times:
+        entries = schur_state(g, e, t, s).entries
+        amps = evolve(s, t) @ e
+        assert np.abs(entries[rows, cols] - amps).max() < 1e-12
+        assert np.abs(entries[cols, rows] - amps.conj()).max() < 1e-12
 
 
 def test_trivial_walk_is_constant_in_time():

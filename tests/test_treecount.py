@@ -27,6 +27,7 @@ from schurwalk import (
     tree_count_det,
     tree_count_enum,
     tree_count_eigen,
+    tree_count_exact,
     uniform_optimality_scan,
     uniform_state,
 )
@@ -90,6 +91,37 @@ def test_enumeration_cap():
     big = complete_graph(8)  # 28 edges
     with pytest.raises(TooLarge):
         spanning_trees(big)
+
+
+def test_exact_count_reference_values():
+    assert tree_count_exact(WeightedGraph(complete_graph(8), np.ones(28))).value == 8.0**6
+    assert tree_count_exact(WeightedGraph(Graph(1, ()), np.array([]))).value == 1.0
+    two_edges = Graph(4, ((0, 1), (2, 3)))
+    assert tree_count_exact(WeightedGraph(two_edges, np.ones(2))).value == 0.0
+    # zero weights on both edges at vertex 1 (a zero pivot), then at vertex 0
+    c5 = WeightedGraph(cycle_graph(5), np.array([0.0, 1.0, 0.0, 1.0, 1.0]))
+    assert tree_count_exact(c5).value == 0.0
+    c5 = WeightedGraph(cycle_graph(5), np.array([0.0, 0.0, 1.0, 1.0, 1.0]))
+    assert tree_count_exact(c5).value == 0.0
+    assert tree_count_exact(c5).method == "exact"
+    with pytest.raises(EmptyGraph):
+        tree_count_exact(WeightedGraph(Graph(0, ()), np.array([])))
+    with pytest.raises(ValueError):
+        tree_count_exact(WeightedGraph(cycle_graph(3), np.array([1.0, np.inf, 1.0])))
+
+
+def test_exact_count_matches_enumeration():
+    rng = np.random.default_rng(31)
+    checked = 0
+    while checked < 40:
+        g = random_connected_graph(rng, 2, 8)
+        if g.n_edges > 14:
+            continue
+        wg = WeightedGraph(g, rng.uniform(1e-3, 3.0, size=g.n_edges))
+        exact = tree_count_exact(wg).value
+        enum = tree_count_enum(wg).value
+        assert abs(exact - enum) <= 1e-12 * enum
+        checked += 1
 
 
 def test_methods_agree_and_deletion_is_irrelevant():
