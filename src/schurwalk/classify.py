@@ -36,7 +36,7 @@ from .graphs import (
     incidence_matrix,
     is_connected,
 )
-from .spectral import Spectrum, dephase
+from .spectral import Spectrum, _diagonal_and_drift
 from .treecount import tree_count_det
 
 DEFAULT_EPSILON = 1e-7
@@ -94,7 +94,9 @@ def classify(
     """Disorder classification of a density matrix on the edge space of ``g``.
 
     The infinite-time average is computed in closed form via dephasing, so the
-    test against the fixed-point condition is exact up to ``epsilon``.
+    test against the fixed-point condition is exact up to ``epsilon``.  Only
+    its diagonal and its distance from ``rho`` are formed, never the averaged
+    matrix itself.
     """
     if epsilon <= 0:
         raise BadEpsilon(f"epsilon must be positive, got {epsilon!r}")
@@ -107,9 +109,7 @@ def classify(
             f"spectrum dimension {spectrum.dimension} does not match {m} edges"
         )
 
-    rho_hat = dephase(spectrum, mat)
-    drift = float(np.linalg.norm(rho_hat - mat))
-    all_weights = rho_hat.diagonal().real
+    all_weights, drift = _diagonal_and_drift(spectrum, mat)
     support = [idx for idx in range(m) if all_weights[idx] > epsilon]
     weights = all_weights[support]
     sub, _, edge_map = edge_induced_subgraph(g, support)

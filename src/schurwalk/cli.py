@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .classify import DEFAULT_EPSILON, classification_to_json, classify, flat_band_state
-from .errors import EigensolverFailure, ParseError, SchurWalkError, ZeroLaplacian
+from .errors import EigensolverFailure, EmptyGraph, ParseError, SchurWalkError, ZeroLaplacian
 from .graphs import (
     Graph,
     WeightedGraph,
@@ -160,6 +160,8 @@ def _treecount_report(cfg: RunConfig, g: Graph) -> str:
     if spec == "unit":
         weights = np.ones(m)
     elif spec == "uniform":
+        if m == 0:
+            raise EmptyGraph("graph has no edges")
         weights = np.full(m, 1.0 / m)
     elif spec.startswith("mixing:"):
         try:

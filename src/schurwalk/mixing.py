@@ -2,7 +2,8 @@
 
 Everything here is an infinite-time average, computed exactly from the
 eigenbasis of a :class:`~schurwalk.spectral.Spectrum` one eigenvalue group at
-a time, never from dense projectors held together and never by integrating;
+a time, with the dominant group taken as the complement of the others,
+never from dense projectors held together and never by integrating;
 the quadrature route exists only as a test oracle (see
 :func:`schurwalk.spectral.numeric_time_average`).  The averaged edge weights of
 a pure state, which are also one column of the mixing matrix, need only
@@ -24,20 +25,24 @@ from .states import InducedWeightedGraph, edge_state, induced_from_adjacency
 def average_mixing(spectrum: Spectrum) -> np.ndarray:
     """Average mixing matrix: sum of the entrywise squares of the projectors.
 
-    Streams over the degenerate eigenvalue groups, forming one projector
-    ``V_g V_g^T`` at a time.  The projector ``v v^T`` of a simple eigenvalue
-    squares entrywise to ``(v*v)(v*v)^T``, so the simple eigenvalues together
-    cost one product.  Real, symmetric, doubly stochastic, positive
-    semidefinite, and entrywise nonnegative.
+    The dominant projector is ``P_D = I - V_R V_R^T``, from the basis columns
+    outside it.  The other groups are streamed from ``V_R``, forming one
+    projector ``V_g V_g^T`` at a time; the projector ``v v^T`` of a simple
+    eigenvalue squares entrywise to ``(v*v)(v*v)^T``, so the simple
+    eigenvalues together cost one product.  Real, symmetric, doubly
+    stochastic, positive semidefinite, and entrywise nonnegative.
     """
-    v = spectrum.basis
-    simple = np.bincount(spectrum.group_ids)[spectrum.group_ids] == 1
-    squares = v[:, simple] ** 2
-    out = squares @ squares.T
-    for cols in spectrum.group_columns():
-        if cols.stop - cols.start > 1:
-            proj = v[:, cols] @ v[:, cols].T
-            out += proj * proj
+    v_r, groups = spectrum.rest_basis, spectrum.rest_groups
+    sizes = np.bincount(groups, minlength=len(spectrum.distinct_eigenvalues))
+    dominant = -(v_r @ v_r.T)
+    dominant.reshape(-1)[:: spectrum.dimension + 1] += 1.0
+    out = dominant * dominant
+    squares = v_r[:, sizes[groups] == 1] ** 2
+    out += squares @ squares.T
+    for g in np.flatnonzero(sizes > 1):
+        v_g = v_r[:, groups == g]
+        proj = v_g @ v_g.T
+        out += proj * proj
     return out
 
 
@@ -59,21 +64,27 @@ def averaged_density(spectrum: Spectrum, e: np.ndarray) -> np.ndarray:
 def averaged_weights(spectrum: Spectrum, e: np.ndarray) -> np.ndarray:
     """Diagonal of the time-averaged density of ``|e><e|``, without forming it.
 
-    Entry ``p`` is ``sum_g |(P_g e)_p|^2``.  ``P_g e = V_g V_g^T e`` is column
-    ``g`` of ``V C``, where ``C`` spreads the coefficients ``V^T e`` into one
-    column per group; the cost is O(m^2 k).  For the basis state on edge
-    ``q`` this is column ``q`` of :func:`average_mixing`.
+    Entry ``p`` is ``sum_g |(P_g e)_p|^2``.  Outside the dominant group,
+    ``P_g e = V_g V_g^T e`` is column ``g`` of ``V_R C``, where ``C`` spreads
+    the coefficients ``V_R^T e`` into one column per group.  Column ``D`` of
+    ``C`` holds ``-V_R^T e``, so column ``D`` of ``V_R C`` plus ``e`` is
+    ``P_D e = e - V_R V_R^T e``.  The cost is O(m r k).  For the basis state
+    on edge ``q`` this is column ``q`` of :func:`average_mixing`.
     """
     vec = _checked_state(spectrum, e)
-    v, gids = spectrum.basis, spectrum.group_ids
-    rows = np.arange(spectrum.dimension)
+    v_r, groups = spectrum.rest_basis, spectrum.rest_groups
+    rows = np.arange(len(groups))
     out = np.zeros(spectrum.dimension)
     # The projectors are real, so |P e|^2 = |P Re e|^2 + |P Im e|^2.
     for part in (vec.real, vec.imag):
         if part.any():
-            spread = np.zeros((spectrum.dimension, len(spectrum.distinct_eigenvalues)))
-            spread[rows, gids] = v.T @ part
-            out += ((v @ spread) ** 2).sum(axis=1)
+            coefficients = v_r.T @ part
+            spread = np.zeros((len(groups), len(spectrum.distinct_eigenvalues)))
+            spread[rows, groups] = coefficients
+            spread[:, spectrum.dominant] = -coefficients
+            projected = v_r @ spread
+            projected[:, spectrum.dominant] += part
+            out += (projected**2).sum(axis=1)
     return out
 
 

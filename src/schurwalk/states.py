@@ -9,6 +9,7 @@ The entrywise modulus square of that matrix is a nonnegative edge weighting.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 
@@ -75,8 +76,10 @@ def schur_state(g: Graph, e: np.ndarray, t: float, spectrum: Spectrum) -> SchurS
     For each edge ``{v, w}`` with ``v < w`` the walked amplitude on that edge
     is stored at ``[v, w]`` and its conjugate at ``[w, v]``; all other entries
     are zero.  The walk acts on the vector alone, as
-    ``V (exp(i t theta) * (V^T e))`` in the eigenbasis ``V``: two
-    matrix-vector products, and the unitary ``exp(i t A)`` is never formed.
+    ``exp(i t theta_D) (e + V_R (expm1(i t (theta_R - theta_D)) * (V_R^T e)))``
+    with ``theta_D`` the eigenvalue of the dominant eigenspace (see
+    :func:`~schurwalk.spectral.evolve`): two ``m x r`` matrix-vector
+    products, and the unitary ``exp(i t A)`` is never formed.
     """
     vec = edge_state(e)
     m = g.n_edges
@@ -86,9 +89,9 @@ def schur_state(g: Graph, e: np.ndarray, t: float, spectrum: Spectrum) -> SchurS
         raise DimensionMismatch(
             f"spectrum dimension {spectrum.dimension} does not match {m} edges"
         )
-    basis = spectrum.basis
-    phases = np.exp(1j * t * spectrum.distinct_eigenvalues[spectrum.group_ids])
-    amps = basis @ (phases * (basis.T @ vec))
+    v_r = spectrum.rest_basis
+    shift = np.expm1(1j * t * spectrum.rest_offsets)
+    amps = cmath.exp(1j * t * spectrum.dominant_eigenvalue) * (vec + v_r @ (shift * (v_r.T @ vec)))
     entries = np.zeros((g.n_vertices, g.n_vertices), dtype=complex)
     u, v = _endpoints(g).T
     entries[u, v] = amps

@@ -28,6 +28,7 @@ from .errors import (
 from .graphs import (
     Graph,
     WeightedGraph,
+    _endpoints,
     bridges,
     connected_components,
     is_connected,
@@ -48,14 +49,17 @@ class TreeCount:
 
 
 def weighted_laplacian(wg: WeightedGraph) -> np.ndarray:
+    """Weighted Laplacian: ``-w`` at both entries of each edge, weighted degrees on the diagonal.
+
+    One ``bincount`` over the flat indices of the four entries each edge
+    touches, ``(u, u), (v, v), (u, v), (v, u)``, in edge order: each degree
+    is summed in the same order as a loop over the edges would sum it.
+    """
     n = wg.graph.n_vertices
-    lap = np.zeros((n, n))
-    for (u, v), w in zip(wg.graph.edges, wg.weights):
-        lap[u, v] -= w
-        lap[v, u] -= w
-        lap[u, u] += w
-        lap[v, v] += w
-    return lap
+    flat = _endpoints(wg.graph) @ np.array([[n + 1, 0, n, 1], [0, n + 1, 1, n]])
+    signed = wg.weights[:, None] * np.array([1.0, 1.0, -1.0, -1.0])
+    lap = np.bincount(flat.ravel(), signed.ravel(), n * n).reshape(n, n)
+    return lap.astype(float, copy=False)  # integer zeros when there are no edges
 
 
 def tree_count_det(wg: WeightedGraph, deleted_index: int = 0) -> TreeCount:
@@ -69,8 +73,8 @@ def tree_count_det(wg: WeightedGraph, deleted_index: int = 0) -> TreeCount:
         raise EmptyGraph("graph has no vertices")
     if not 0 <= deleted_index < n:
         raise ValueError(f"deleted_index {deleted_index} out of range")
-    lap = weighted_laplacian(wg)
-    minor = np.delete(np.delete(lap, deleted_index, axis=0), deleted_index, axis=1)
+    keep = np.arange(n) != deleted_index
+    minor = weighted_laplacian(wg)[keep][:, keep]
     return TreeCount(float(np.linalg.det(minor)), "determinant")
 
 
@@ -230,8 +234,10 @@ def main_theorem_check(g: Graph, e: np.ndarray, spectrum: Spectrum) -> dict:
 
     moduli = np.abs(vec)
     uniform = bool(np.abs(moduli - moduli[0]).max() < 1e-9)
-    v = spectrum.basis
-    image = v @ (spectrum.distinct_eigenvalues[spectrum.group_ids] * (v.T @ vec))
+    # A e = theta_D e + V_R ((theta_R - theta_D) * (V_R^T e)), from the columns
+    # outside the dominant eigenspace.
+    v_r = spectrum.rest_basis
+    image = spectrum.dominant_eigenvalue * vec + v_r @ (spectrum.rest_offsets * (v_r.T @ vec))
     lam = float(np.real(np.vdot(vec, image)))
     commutative = bool(np.linalg.norm(image - lam * vec) < 1e-8)
 

@@ -6,8 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from schurwalk import (
     Graph,
@@ -44,7 +43,8 @@ from schurwalk.errors import (
     OddDegreeVertex,
     OddEdgeCount,
 )
-from schurwalk.graphs import is_connected
+from schurwalk.spectral import _diagonal_and_drift
+from spectra import even_connected_graphs, random_matrix, seeds, symmetric_matrices
 
 
 def _line_spectrum(g):
@@ -188,25 +188,6 @@ def test_flat_band_cycle_and_complete_graph():
     assert (image == -2 * fb.signs).all()
 
 
-@st.composite
-def even_connected_graphs(draw) -> Graph:
-    """Connected graph with every degree even and an even number of edges.
-
-    A Hamiltonian cycle, then the symmetric difference with random triangles:
-    each triangle keeps every degree even and flips the parity of the edge
-    count.
-    """
-    n = draw(st.integers(3, 9))
-    order = draw(st.permutations(range(n)))
-    edges = {frozenset((order[i], order[i - 1])) for i in range(n)}
-    corners = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
-    for a, b, c in draw(st.lists(corners, max_size=6)):
-        edges ^= {frozenset((a, b)), frozenset((b, c)), frozenset((a, c))}
-    g = Graph(n, tuple(tuple(sorted(edge)) for edge in edges))
-    assume(g.n_edges % 2 == 0 and is_connected(g))
-    return g
-
-
 @settings(max_examples=80, deadline=None)
 @given(even_connected_graphs())
 def test_flat_band_state_on_even_graphs(h):
@@ -264,3 +245,34 @@ def test_classification_json_fields():
     assert set(data) == {"detail", "epsilon", "m_rho", "n_rho", "verdict", "weights"}
     assert data["verdict"] == UNIFORM_COMMUTATIVE
     assert data["m_rho"] == 4 and data["n_rho"] == 4
+
+
+# -- the dephased diagonal and drift, without the dephased matrix ------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_matrices, seeds)
+def test_diagonal_and_drift_match_the_dephased_matrix(a, seed):
+    s = decompose(a)
+    x = random_matrix(seed, s.dimension)  # complex and not Hermitian
+    for candidate in (x, x.real.astype(complex), x + x.conj().T):
+        dephased = dephase(s, candidate)
+        diagonal, drift = _diagonal_and_drift(s, candidate)
+        assert np.abs(diagonal - dephased.diagonal().real).max() < 1e-12
+        assert abs(drift - np.linalg.norm(dephased - candidate)) < 1e-12
+
+
+def test_drift_of_a_dephased_state_stays_at_rounding_level():
+    rng = np.random.default_rng(4)
+    g = random_connected_graph(rng, 6, 8)
+    s = _line_spectrum(g)
+    e = random_edge_state(rng, g.n_edges)
+    rho_hat = dephase(s, np.outer(e, e.conj()))
+    assert _diagonal_and_drift(s, rho_hat)[1] < 1e-14
+
+
+def test_diagonal_and_drift_on_the_smallest_spectra():
+    diagonal, drift = _diagonal_and_drift(decompose(np.zeros((0, 0))), np.zeros((0, 0)))
+    assert diagonal.shape == (0,) and drift == 0.0
+    diagonal, drift = _diagonal_and_drift(decompose(np.array([[2.0]])), np.array([[0.5 + 1j]]))
+    assert diagonal.tolist() == [0.5] and drift == 0.0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 
 from schurwalk import complete_graph, format_edge_list, parse_edge_list
 from schurwalk.cli import build_parser, config_from_args, main, run_command
@@ -181,3 +182,42 @@ def test_check_all_smoke():
 
     result = criterion_5()
     assert result.passed and result.number == 5
+
+
+GRAPH_COMMANDS = [
+    ["linegraph"],
+    ["mix"],
+    ["classify"],
+    ["classify", "--state", "edge:0"],
+    ["classify", "--state", "flatband"],
+    ["treecount"],
+    ["treecount", "--weights", "uniform"],
+    ["treecount", "--weights", "mixing:0"],
+    ["entropy"],
+    ["entropy", "--state", "edge:0"],
+    ["flatband"],
+]
+
+
+def test_every_command_handles_tiny_graphs(tmp_path, capsys):
+    # An uncaught exception would end the process with exit code 1; every
+    # outcome here is a result (0), an input error (2) or a domain error (3).
+    for name, text in (("edgeless", "1 0\n"), ("single-edge", "2 1\n0 1\n")):
+        path = tmp_path / f"{name}.edges"
+        path.write_text(text)
+        for command in GRAPH_COMMANDS:
+            argv = [*command, "--input", str(path)]
+            try:
+                code = main(argv)
+            except Exception as exc:  # name the command that escaped
+                pytest.fail(f"{name}: {' '.join(command)} raised {exc!r}")
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3), (name, command, code)
+            assert (code == 0) == (err == ""), (name, command, err)
+
+
+def test_treecount_uniform_on_an_edgeless_graph_is_a_domain_error(tmp_path, capsys):
+    path = tmp_path / "edgeless.edges"
+    path.write_text("1 0\n")
+    assert main(["treecount", "--input", str(path), "--weights", "uniform"]) == 3
+    assert capsys.readouterr().err == "error: graph has no edges\n"

@@ -27,7 +27,7 @@ from schurwalk import (
 )
 from schurwalk.acceptance import random_connected_graph, random_edge_state
 from schurwalk.errors import DimensionMismatch
-from spectra import random_state, seeds, symmetric_matrices
+from spectra import SMALL_SPECTRA, random_state, reference_eigenspaces, seeds, symmetric_matrices
 
 
 def _line_spectrum(g):
@@ -170,3 +170,30 @@ def test_averaged_weights_rejects_a_wrong_size_state():
     s = _line_spectrum(path_graph(4))
     with pytest.raises(DimensionMismatch):
         averaged_weights(s, uniform_state(4))
+
+
+@PROPERTY_SETTINGS
+@given(symmetric_matrices, seeds)
+def test_mixing_and_weights_equal_the_projector_sums(a, seed):
+    s = decompose(a)
+    spaces = reference_eigenspaces(a)
+    assert np.abs(average_mixing(s) - sum(p * p for _, p in spaces)).max() < 1e-12
+    e = random_state(seed, s.dimension)
+    expected = sum(np.abs(p @ e) ** 2 for _, p in spaces)
+    assert np.abs(averaged_weights(s, e) - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", SMALL_SPECTRA)
+def test_mixing_and_weights_on_small_spectra(name):
+    a, _ = SMALL_SPECTRA[name]
+    s = decompose(a)
+    spaces = reference_eigenspaces(a)
+    m = s.dimension
+    mixed = average_mixing(s)
+    expected = sum((p * p for _, p in spaces), np.zeros((m, m)))
+    assert mixed.shape == (m, m)
+    assert np.abs(mixed - expected).max(initial=0.0) < 1e-12
+    if m:  # the empty spectrum has no unit vector
+        e = random_state(5, m)
+        expected = sum(np.abs(p @ e) ** 2 for _, p in spaces)
+        assert np.abs(averaged_weights(s, e) - expected).max() < 1e-12

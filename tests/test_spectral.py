@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from schurwalk import (
@@ -20,7 +20,14 @@ from schurwalk import (
     path_graph,
 )
 from schurwalk.errors import DimensionMismatch, NotSymmetric
-from spectra import random_matrix, reference_eigenspaces, seeds, symmetric_matrices
+from spectra import (
+    SMALL_SPECTRA,
+    connected_graphs,
+    random_matrix,
+    reference_eigenspaces,
+    seeds,
+    symmetric_matrices,
+)
 
 
 def _random_symmetric(rng, n):
@@ -171,3 +178,71 @@ def test_evolve_is_unitary_and_matches_the_eigenspaces(a, t):
     assert np.abs(u @ u.conj().T - np.eye(s.dimension)).max() < 1e-12
     expected = sum(np.exp(1j * t * theta) * p for theta, p in reference_eigenspaces(a))
     assert np.abs(u - expected).max() < 1e-12
+
+
+# -- the dominant group and the complement forms built on it -----------------
+
+
+@PROPERTY_SETTINGS
+@given(symmetric_matrices)
+def test_dominant_group_and_its_complement(a):
+    s = decompose(a)
+    spaces = reference_eigenspaces(a)
+    ranks = [round(np.trace(p)) for _, p in spaces]
+    assert s.dominant == ranks.index(max(ranks))  # lowest index on a tie
+    assert s.rest_basis.shape == (s.dimension, s.dimension - max(ranks))
+    complement = np.eye(s.dimension) - s.rest_basis @ s.rest_basis.T
+    assert np.abs(complement - spaces[s.dominant][1]).max() < 1e-12
+    assert s.dominant not in s.rest_groups
+    assert (s.rest_same_group == (s.rest_groups[:, None] == s.rest_groups)).all()
+
+
+@pytest.mark.parametrize("name", SMALL_SPECTRA)
+def test_complement_forms_on_small_spectra(name):
+    a, dominant = SMALL_SPECTRA[name]
+    s = decompose(a)
+    spaces = reference_eigenspaces(a)
+    assert s.dominant == dominant
+    x = random_matrix(3, s.dimension) if s.dimension else np.zeros((0, 0))
+    expected = sum((p @ x @ p for _, p in spaces), np.zeros_like(x))
+    assert dephase(s, x).shape == x.shape
+    assert np.abs(dephase(s, x) - expected).max(initial=0.0) < 1e-12
+    unitary = sum((np.exp(0.7j * theta) * p for theta, p in spaces), np.zeros_like(x))
+    assert evolve(s, 0.7).shape == x.shape
+    assert np.abs(evolve(s, 0.7) - unitary).max(initial=0.0) < 1e-12
+
+
+def _is_bipartite(g) -> bool:
+    color = {0: 0}
+    frontier = [0]
+    neighbours = {v: [] for v in range(g.n_vertices)}
+    for u, v in g.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    while frontier:
+        u = frontier.pop()
+        for v in neighbours[u]:
+            if v not in color:
+                color[v] = 1 - color[u]
+                frontier.append(v)
+            elif color[v] == color[u]:
+                return False
+    return True
+
+
+@PROPERTY_SETTINGS
+@given(connected_graphs())
+def test_line_graph_dominant_group_is_the_flat_band(g):
+    # The -2 eigenspace of a line graph is the cycle space of the base graph,
+    # of dimension m - n + c0 (c0 = 1 for a bipartite connected graph).  It
+    # is the lowest group, so it is dominant as soon as no other is larger.
+    n, m = g.n_vertices, g.n_edges
+    c0 = int(_is_bipartite(g))
+    a = adjacency_matrix(line_graph(g)).astype(float)
+    s = decompose(a)
+    ranks = {round(theta, 6): round(np.trace(p)) for theta, p in reference_eigenspaces(a)}
+    flat = ranks.pop(-2.0, 0)
+    assert flat == m - n + c0
+    assume(flat > 0 and flat >= max(ranks.values(), default=0))
+    assert abs(s.distinct_eigenvalues[s.dominant] + 2.0) < 1e-9
+    assert s.rest_basis.shape == (m, n - c0)

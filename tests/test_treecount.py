@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurwalk import (
     Graph,
@@ -41,7 +43,8 @@ from schurwalk.errors import (
 )
 from schurwalk.graphs import is_connected
 from schurwalk.mixing import averaged_induced
-from schurwalk.treecount import scaled_unit_identity
+from schurwalk.treecount import log_tree_count, scaled_unit_identity, weighted_laplacian
+from spectra import connected_graphs, even_connected_graphs
 
 
 def _line_spectrum(g):
@@ -283,3 +286,59 @@ def test_enumeration_matches_determinant_on_all_small_graphs():
             det_value = tree_count_det(wg).value
             enum_value = tree_count_enum(wg).value
             assert abs(det_value - enum_value) <= 1e-9 * max(1.0, enum_value)
+
+
+# -- the Laplacian, relabelling, and the theorem on flat-band states ---------
+
+
+def _loop_laplacian(wg):
+    n = wg.graph.n_vertices
+    lap = np.zeros((n, n))
+    for (u, v), w in zip(wg.graph.edges, wg.weights):
+        lap[u, v] -= w
+        lap[v, u] -= w
+        lap[u, u] += w
+        lap[v, v] += w
+    return lap
+
+
+def _weights(data, m, low=0.0):
+    return np.array(data.draw(st.lists(st.floats(low, 1e3), min_size=m, max_size=m)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs(max_vertices=9), st.data())
+def test_weighted_laplacian_equals_the_edge_loop(g, data):
+    wg = WeightedGraph(g, _weights(data, g.n_edges))
+    lap = weighted_laplacian(wg)
+    assert lap.dtype == float and np.array_equal(lap, _loop_laplacian(wg))
+
+
+def test_weighted_laplacian_without_edges():
+    for n in (0, 1, 3):
+        lap = weighted_laplacian(WeightedGraph(Graph(n, ()), np.zeros(0)))
+        assert lap.dtype == float and np.array_equal(lap, np.zeros((n, n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(max_vertices=7), st.data())
+def test_tree_counts_are_invariant_under_relabelling(g, data):
+    perm = data.draw(st.permutations(range(g.n_vertices)))
+    weights = _weights(data, g.n_edges, low=0.01)
+    h = Graph(g.n_vertices, tuple((perm[u], perm[v]) for u, v in g.edges))
+    position = {edge: idx for idx, edge in enumerate(h.edges)}
+    carried = np.empty(g.n_edges)
+    for (u, v), w in zip(g.edges, weights):
+        carried[position[tuple(sorted((perm[u], perm[v])))]] = w
+    wg, wh = WeightedGraph(g, weights), WeightedGraph(h, carried)
+    assert tree_count_exact(wg).value == tree_count_exact(wh).value
+    det_g, det_h = tree_count_det(wg).value, tree_count_det(wh).value
+    assert abs(det_g - det_h) <= 1e-9 * det_g
+    assert abs(log_tree_count(wg) - log_tree_count(wh)) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(even_connected_graphs())
+def test_flat_band_states_satisfy_the_main_theorem(h):
+    report = main_theorem_check(h, flat_band_state(h).normalized, _line_spectrum(h))
+    assert report["is_uniform_commutative"] and report["passed"]
