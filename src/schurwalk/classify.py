@@ -3,9 +3,10 @@
 The classifier sorts a density matrix on the edge space into one of four
 verdicts.  A state moved by dephasing is non-commutative.  A fixed point whose
 averaged edge weights are all within tolerance of ``1/m`` is uniform
-commutative, confirmed by a spanning-tree cross-check; if the cross-check
-fails the verdict is an explicit anomaly rather than a silent retry.  Any
-other fixed point is weighted commutative.
+commutative, confirmed by a spanning-tree cross-check in the log domain,
+relative at every size; if the cross-check fails the verdict is an explicit
+anomaly rather than a silent retry.  Any other fixed point is weighted
+commutative.
 
 The flat-band constructor realizes uniform commutative states on non-regular
 line graphs: alternating signs along a closed Eulerian trail of the base
@@ -16,6 +17,7 @@ the line graph's adjacency with eigenvalue -2.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +39,7 @@ from .graphs import (
     is_connected,
 )
 from .spectral import Spectrum, _diagonal_and_drift
-from .treecount import tree_count_det
+from .treecount import IDENTITY_RTOL, log_tree_count
 
 DEFAULT_EPSILON = 1e-7
 
@@ -131,20 +133,30 @@ def classify(
 
     deviation = float(np.abs(weights - 1.0 / m_rho).max())
     if deviation < epsilon:
-        sub_weights = all_weights[edge_map]
-        lhs = tree_count_det(WeightedGraph(sub, sub_weights)).value
-        unit = tree_count_det(WeightedGraph(sub, np.ones(m_rho))).value
-        rhs = unit / m_rho ** (n_rho - 1)
-        if abs(lhs - rhs) < epsilon:
+        # log(lhs / rhs) for lhs = tn(sub, weights), rhs = tn(sub) / m_rho**(n_rho - 1);
+        # a disconnected support has no spanning tree, so both counts vanish.
+        log_ratio = 0.0
+        if is_connected(sub):
+            log_lhs = log_tree_count(WeightedGraph(sub, all_weights[edge_map]))
+            log_unit = log_tree_count(WeightedGraph(sub, np.ones(m_rho)))
+            log_ratio = log_lhs - log_unit + (n_rho - 1) * math.log(m_rho)
+        # Every weight lies within a factor 1 +- m_rho * epsilon of 1/m_rho and
+        # the count is monotone and homogeneous of degree n_rho - 1 in them.
+        spread = m_rho * epsilon
+        upper = (n_rho - 1) * math.log1p(spread) + IDENTITY_RTOL
+        lower = (n_rho - 1) * math.log1p(-spread) - IDENTITY_RTOL if spread < 1 else -math.inf
+        residual = abs(math.expm1(log_ratio))
+        if lower <= log_ratio <= upper:
             return result(
                 UNIFORM_COMMUTATIVE,
                 f"weight 1/{m_rho} on support {support}; "
-                f"tree-count cross-check residual {abs(lhs - rhs):.3e}",
+                f"tree-count cross-check relative residual {residual:.3e}",
             )
         return result(
             ANOMALY,
             f"weights look uniform but the tree-count cross-check fails: "
-            f"|{lhs!r} - {rhs!r}| >= epsilon",
+            f"relative residual {residual:.3e}, log ratio {log_ratio:.3e} "
+            f"outside [{lower:.3e}, {upper:.3e}]",
         )
     return result(
         WEIGHTED_COMMUTATIVE,

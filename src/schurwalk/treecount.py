@@ -3,15 +3,15 @@
 The determinant route is the matrix-tree theorem: any principal minor of the
 weighted Laplacian, in floating point.  The exact route evaluates the same
 minor in integer arithmetic and rounds once, with no size cap.  The
-enumeration route walks every (n-1)-edge subset and keeps the spanning
-trees; it is the independently trustworthy oracle of the tests and is capped
-at 24 edges.  A single-vertex graph counts 1 (the empty product), which
-the bridge factorization relies on when a bridge endpoint is a leaf.
+enumeration route lists the spanning trees by a depth-first search over the
+edges and sums their weight products; it uses no linear algebra, is the
+independently trustworthy oracle of the tests and is capped at 24 edges.  A
+single-vertex graph counts 1 (the empty product), which the bridge
+factorization relies on when a bridge endpoint is a leaf.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -162,52 +162,78 @@ def scaled_unit_identity(wg: WeightedGraph) -> tuple[float, float, bool]:
     return math.exp(log_lhs), math.exp(log_rhs), passed
 
 
-def tree_count_eigen(wg: WeightedGraph) -> float:
-    """Cross-check form: product of the nonzero Laplacian eigenvalues over n."""
-    n = wg.graph.n_vertices
-    if n == 0:
-        raise EmptyGraph("graph has no vertices")
-    evals = np.linalg.eigvalsh(weighted_laplacian(wg))
-    return float(np.prod(evals[1:]) / n)
+def _grow_trees(
+    edges: tuple[tuple[int, int], ...],
+    parent: list[int],
+    index: int,
+    need: int,
+    chosen: list[int],
+    trees: list[tuple[int, ...]],
+) -> None:
+    """Append to ``trees`` every spanning tree that extends the forest ``chosen``.
+
+    ``chosen`` holds the edges taken among those before ``index``, ``parent``
+    is their union-find forest without path compression, and ``need`` is the
+    number of edges the tree still lacks.  Edge ``index`` is first included,
+    when it joins two components, then excluded; the branch is cut once fewer
+    edges remain than are needed.  Both ``parent`` and ``chosen`` are
+    restored before returning.  A module-level function rather than a
+    closure: a nested function that calls itself holds itself in its own
+    closure cell, a reference cycle that keeps ``trees`` alive until the
+    cyclic collector runs.
+    """
+    if need == 0:
+        trees.append(tuple(chosen))
+        return
+    if len(edges) - index < need:
+        return
+    u, v = edges[index]
+    while parent[u] != u:
+        u = parent[u]
+    while parent[v] != v:
+        v = parent[v]
+    if u != v:
+        parent[u] = v
+        chosen.append(index)
+        _grow_trees(edges, parent, index + 1, need - 1, chosen, trees)
+        chosen.pop()
+        parent[u] = u
+    _grow_trees(edges, parent, index + 1, need, chosen, trees)
 
 
 def spanning_trees(g: Graph) -> list[tuple[int, ...]]:
-    """All spanning trees as tuples of edge indices (exhaustive, m <= 24)."""
+    """All spanning trees as sorted tuples of edge indices, in lexicographic order (m <= 24).
+
+    A depth-first search over the edges in index order decides each edge in
+    turn, include before exclude, so the trees come out in the order of
+    ``itertools.combinations(range(m), n - 1)``.  An edge is included only
+    when it joins two components of the forest chosen so far, so every
+    branch stays acyclic; a branch ends when it holds ``n - 1`` edges, or
+    when fewer edges remain than it still needs.  A disconnected graph has
+    no spanning tree and returns ``[]`` before any search.  The work is the
+    number of acyclic edge prefixes visited, each an O(n) union-find step,
+    not the ``C(m, n - 1)`` subsets of a filter; the recursion is at most
+    ``m + 1`` deep.
+    """
     if g.n_vertices == 0:
         raise EmptyGraph("graph has no vertices")
     if g.n_edges > MAX_ENUM_EDGES:
         raise TooLarge(f"{g.n_edges} edges exceeds the enumeration cap {MAX_ENUM_EDGES}")
-    n = g.n_vertices
-    trees = []
-    for subset in itertools.combinations(range(g.n_edges), n - 1):
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        joins = 0
-        for idx in subset:
-            u, v = g.edges[idx]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                break
-            parent[ru] = rv
-            joins += 1
-        if joins == n - 1:
-            trees.append(subset)
+    if not is_connected(g):
+        return []
+    trees: list[tuple[int, ...]] = []
+    _grow_trees(g.edges, list(range(g.n_vertices)), 0, g.n_vertices - 1, [], trees)
     return trees
 
 
 def tree_count_enum(wg: WeightedGraph) -> TreeCount:
     """Enumeration oracle: sum of weight products over all spanning trees."""
+    weights = wg.weights.tolist()
     total = 0.0
     for tree in spanning_trees(wg.graph):
         product = 1.0
         for idx in tree:
-            product *= wg.weights[idx]
+            product *= weights[idx]
         total += product
     return TreeCount(total, "enumeration")
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from schurwalk import (
 )
 from schurwalk.acceptance import random_connected_graph, random_edge_state
 from schurwalk.classify import (
+    ANOMALY,
     NON_COMMUTATIVE,
     UNIFORM_COMMUTATIVE,
     WEIGHTED_COMMUTATIVE,
@@ -45,6 +48,9 @@ from schurwalk.errors import (
 )
 from schurwalk.spectral import _diagonal_and_drift
 from spectra import even_connected_graphs, random_matrix, seeds, symmetric_matrices
+
+
+classify_module = importlib.import_module("schurwalk.classify")
 
 
 def _line_spectrum(g):
@@ -149,6 +155,55 @@ def test_classifier_support_restriction():
     verdict = classify(np.diag([0.9, 0.1]).astype(complex), g, s)
     assert verdict.verdict == WEIGHTED_COMMUTATIVE
     assert verdict.support_size == 2
+
+    # a disconnected support: both tree counts vanish
+    verdict = classify(np.eye(2, dtype=complex) / 2, g, s)
+    assert verdict.verdict == UNIFORM_COMMUTATIVE
+    assert verdict.support_size == 2 and verdict.support_vertices == 4
+
+
+@pytest.mark.parametrize(
+    "factor, expected",
+    [
+        (2.0, ANOMALY),
+        (0.5, ANOMALY),
+        (1 + 1e-5, UNIFORM_COMMUTATIVE),
+        (1 - 1e-5, UNIFORM_COMMUTATIVE),
+        (1 + 2e-5, ANOMALY),
+        (1 - 2e-5, ANOMALY),
+    ],
+)
+def test_uniform_cross_check_is_relative(monkeypatch, factor, expected):
+    # On C_12 both tree counts are about 1e-12, far below epsilon, so an
+    # absolute comparison passes a weighted count that is off by a factor of 2.
+    # Weights within epsilon of 1/12 bound the ratio of the counts to
+    # (1 +- 12 epsilon)**11 = 1 +- 1.32e-5.
+    g = cycle_graph(12)
+    state = flat_band_state(g).normalized
+    rho = np.outer(state, state.conj())
+    s = _line_spectrum(g)
+    assert classify(rho, g, s).verdict == UNIFORM_COMMUTATIVE
+
+    log_tree_count = classify_module.log_tree_count
+
+    def scaled(wg):
+        unit = bool((wg.weights == 1.0).all())
+        return log_tree_count(wg) + (0.0 if unit else math.log(factor))
+
+    monkeypatch.setattr(classify_module, "log_tree_count", scaled)
+    verdict = classify(rho, g, s)
+    assert verdict.verdict == expected
+    assert f"relative residual {abs(factor - 1):.3e}" in verdict.detail
+
+
+def test_uniform_cross_check_with_a_wide_epsilon():
+    # Weights of 2/12 lie within epsilon = 0.1 of 1/12, so their count may be
+    # anywhere below (1 + 1.2)**11 times the target: no lower bound exists.
+    g = cycle_graph(12)
+    state = flat_band_state(g).normalized
+    verdict = classify(2 * np.outer(state, state.conj()), g, _line_spectrum(g), epsilon=0.1)
+    assert verdict.verdict == UNIFORM_COMMUTATIVE
+    assert "relative residual 2.047e+03" in verdict.detail
 
 
 def test_classifier_rejects_bad_arguments():

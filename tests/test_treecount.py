@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 
 import numpy as np
@@ -16,6 +17,7 @@ from schurwalk import (
     average_mixing,
     basis_state,
     bridge_factorization_check,
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     decompose,
@@ -28,7 +30,6 @@ from schurwalk import (
     spanning_trees,
     tree_count_det,
     tree_count_enum,
-    tree_count_eigen,
     tree_count_exact,
     uniform_optimality_scan,
     uniform_state,
@@ -49,6 +50,49 @@ from spectra import connected_graphs, even_connected_graphs
 
 def _line_spectrum(g):
     return decompose(adjacency_matrix(line_graph(g)))
+
+
+def _eigen_product_count(wg):
+    """Reference: product of the nonzero Laplacian eigenvalues over n."""
+    evals = np.linalg.eigvalsh(weighted_laplacian(wg))
+    return float(np.prod(evals[1:]) / wg.graph.n_vertices)
+
+
+def _subset_filter_trees(g):
+    """Reference: every (n-1)-edge subset in lexicographic order, kept when acyclic."""
+    n = g.n_vertices
+    trees = []
+    for subset in itertools.combinations(range(g.n_edges), n - 1):
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        joins = 0
+        for idx in subset:
+            u, v = g.edges[idx]
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                break
+            parent[ru] = rv
+            joins += 1
+        if joins == n - 1:
+            trees.append(subset)
+    return trees
+
+
+def _product_sum(trees, weights):
+    """Reference: the sum over trees of the weight products, one numpy scalar at a time."""
+    total = 0.0
+    for tree in trees:
+        product = 1.0
+        for idx in tree:
+            product *= weights[idx]
+        total += product
+    return total
 
 
 def test_reference_counts():
@@ -137,7 +181,7 @@ def test_methods_agree_and_deletion_is_irrelevant():
         values = [tree_count_det(wg, i).value for i in range(g.n_vertices)]
         assert max(values) - min(values) < 1e-10
         assert abs(values[0] - enum) <= 1e-9 * max(1.0, enum)
-        assert abs(tree_count_eigen(wg) - enum) <= 1e-8 * max(1.0, enum)
+        assert abs(_eigen_product_count(wg) - enum) <= 1e-8 * max(1.0, enum)
 
 
 def test_main_theorem_reference_cases():
@@ -267,10 +311,56 @@ def test_pure_state_count_matches_phased_averaged_weights():
 
 
 def test_spanning_tree_enumeration_is_exhaustive():
-    # Cayley's formula on K_5 and a direct cycle count
+    # Cayley's formula n**(n-2) on K_5 and K_7, a**(b-1) * b**(a-1) on K_{3,5},
+    # and a direct cycle count
     assert len(spanning_trees(complete_graph(5))) == 125
+    assert len(spanning_trees(complete_graph(7))) == 7**5
+    assert len(spanning_trees(complete_bipartite_graph(3, 5))) == 3**4 * 5**2
     assert len(spanning_trees(cycle_graph(6))) == 6
     assert len(spanning_trees(figure_eight_graph())) == 16
+
+
+@st.composite
+def _small_graphs(draw):
+    """At most 12 edges on 1-10 vertices: a tree half the time, else any edge set.
+
+    Any edge set covers disconnected graphs, isolated vertices, n = 1 and
+    fewer edges than a tree needs.
+    """
+    n = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        return Graph(n, tuple((draw(st.integers(0, v - 1)), v) for v in range(1, n)))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    return Graph(n, tuple(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_graphs(), st.data())
+def test_spanning_trees_match_the_subset_filter(g, data):
+    reference = _subset_filter_trees(g)
+    assert spanning_trees(g) == reference
+    weights = _weights(data, g.n_edges, low=0.01)
+    assert tree_count_enum(WeightedGraph(g, weights)).value == _product_sum(reference, weights)
+    nx = pytest.importorskip("networkx")
+    other = nx.Graph()
+    other.add_nodes_from(range(g.n_vertices))
+    other.add_edges_from(g.edges)
+    assert abs(len(reference) - nx.number_of_spanning_trees(other)) <= 1e-9 * max(1, len(reference))
+
+
+def test_enumeration_leaves_no_reference_cycles():
+    # Garbage in a reference cycle would keep the tree list alive until the
+    # cyclic collector runs.
+    g = complete_graph(6)
+    gc.collect()
+    gc.disable()
+    try:
+        spanning_trees(g)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
 
 
 def test_enumeration_matches_determinant_on_all_small_graphs():
