@@ -10,18 +10,16 @@ probability-like edge weighting that changes with t while its total stays 2.
 import numpy as np
 
 from schurwalk import (
-    adjacency_matrix,
     basis_state,
-    decompose,
     induced_graph,
-    line_graph,
+    line_graph_spectrum,
     path_graph,
     schur_inner,
     schur_state,
 )
 
 g = path_graph(4)
-spectrum = decompose(adjacency_matrix(line_graph(g)))
+spectrum = line_graph_spectrum(g)
 start = basis_state(g.n_edges, 0)  # all amplitude on the first edge
 
 print("edge weights of the walked state (rows: t, columns: edges):")

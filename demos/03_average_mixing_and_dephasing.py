@@ -10,19 +10,17 @@ For paths there is even a closed form.
 import numpy as np
 
 from schurwalk import (
-    adjacency_matrix,
     average_mixing,
     averaged_density,
     basis_state,
-    decompose,
-    line_graph,
+    line_graph_spectrum,
     numeric_time_average,
     path_graph,
     path_mixing_closed_form,
 )
 
 g = path_graph(4)
-spectrum = decompose(adjacency_matrix(line_graph(g)))
+spectrum = line_graph_spectrum(g)
 
 mixed = average_mixing(spectrum)
 print("average mixing matrix of the 4-path's line graph:")

@@ -11,11 +11,9 @@ import numpy as np
 
 from schurwalk import (
     WeightedGraph,
-    adjacency_matrix,
     complete_graph,
     cycle_graph,
-    decompose,
-    line_graph,
+    line_graph_spectrum,
     main_theorem_check,
     pure_state_tree_count,
     path_graph,
@@ -34,7 +32,7 @@ print("  ab + bc + ca:", 0.2 * 0.3 + 0.3 * 0.5 + 0.5 * 0.2)
 
 # The averaged-graph identity on a cycle and a complete graph.
 for name, g in (("4-cycle", cycle_graph(4)), ("K4", complete_graph(4))):
-    spectrum = decompose(adjacency_matrix(line_graph(g)))
+    spectrum = line_graph_spectrum(g)
     report = main_theorem_check(g, uniform_state(g.n_edges), spectrum)
     print(f"\n{name}: averaged count = {report['lhs']:.12f}, "
           f"target = {report['rhs']:.12f}, "
@@ -43,7 +41,7 @@ for name, g in (("4-cycle", cycle_graph(4)), ("K4", complete_graph(4))):
 # Pure edge states average to mixing-matrix columns; on a path the center
 # edge gives a strictly smaller count than the ends.
 g = path_graph(4)
-spectrum = decompose(adjacency_matrix(line_graph(g)))
+spectrum = line_graph_spectrum(g)
 for q, label in ((0, "end"), (1, "center")):
     print(f"pure state on the {label} edge of the 4-path: "
           f"count = {pure_state_tree_count(g, q, spectrum).value}")

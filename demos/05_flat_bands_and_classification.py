@@ -22,6 +22,7 @@ from schurwalk import (
     incidence_matrix,
     line_graph,
     line_graph_spectral_floor,
+    line_graph_spectrum,
     complete_bipartite_graph,
     path_graph,
     uniform_state,
@@ -38,7 +39,7 @@ image = adjacency_matrix(line_graph(h)) @ fb.signs
 print("A(line graph) psi == -2 psi: ", (image == -2 * fb.signs).all())
 print("line-graph degrees (non-regular):", sorted(set(line_graph(h).degrees().tolist())))
 
-spectrum = decompose(adjacency_matrix(line_graph(h)))
+spectrum = line_graph_spectrum(h)
 rho = np.outer(fb.normalized, fb.normalized.conj())
 print("\nclassifier verdict for the flat-band state:",
       classify(rho, h, spectrum).verdict)
@@ -48,14 +49,14 @@ print("\nthe trichotomy:")
 c4 = cycle_graph(4)
 u = uniform_state(4)
 print("  uniform state on the 4-cycle:     ",
-      classify(np.outer(u, u.conj()), c4, decompose(adjacency_matrix(line_graph(c4)))).verdict)
+      classify(np.outer(u, u.conj()), c4, line_graph_spectrum(c4)).verdict)
 p4 = path_graph(4)
 e0 = basis_state(3, 0)
 print("  single-edge state on the 4-path:  ",
-      classify(np.outer(e0, e0.conj()), p4, decompose(adjacency_matrix(line_graph(p4)))).verdict)
+      classify(np.outer(e0, e0.conj()), p4, line_graph_spectrum(p4)).verdict)
 k13 = complete_bipartite_graph(1, 3)
 v = np.array([1.0, 1.0, -2.0]) / np.sqrt(6)
-verdict = classify(np.outer(v, v.conj()), k13, decompose(adjacency_matrix(line_graph(k13))))
+verdict = classify(np.outer(v, v.conj()), k13, line_graph_spectrum(k13))
 print("  non-uniform eigenvector on 3-star:", verdict.verdict, "weights", verdict.weights)
 
 # Spectral obstruction: line graphs never dip below -2; K_{2,4} does.

@@ -15,10 +15,9 @@ from schurwalk import (
     basis_state,
     binary_entropy,
     complete_graph,
-    decompose,
     disjoint_union_entropy_check,
     induced_graph,
-    line_graph,
+    line_graph_spectrum,
     path_graph,
     schur_state,
     vertex_entropy,
@@ -27,7 +26,7 @@ from schurwalk import (
 from schurwalk.states import induced_from_adjacency
 
 g = path_graph(4)
-spectrum = decompose(adjacency_matrix(line_graph(g)))
+spectrum = line_graph_spectrum(g)
 start = basis_state(g.n_edges, 0)
 
 print("vertex entropy of the walked single-edge state:")

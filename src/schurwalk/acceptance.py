@@ -38,7 +38,7 @@ from .graphs import (
     path_graph,
 )
 from .mixing import average_mixing, averaged_density, path_mixing_closed_form
-from .spectral import decompose, dephase, numeric_time_average
+from .spectral import decompose, dephase, line_graph_spectrum, numeric_time_average
 from .states import basis_state, induced_from_adjacency, schur_inner, schur_state, uniform_state
 from .treecount import (
     bridge_factorization_check,
@@ -47,6 +47,7 @@ from .treecount import (
     tree_count_det,
     tree_count_enum,
     uniform_optimality_scan,
+    weighted_laplacian,
 )
 
 
@@ -85,10 +86,6 @@ def random_density_matrix(rng: np.random.Generator, m: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def _line_spectrum(g: Graph):
-    return decompose(adjacency_matrix(line_graph(g)))
-
-
 # -- criteria ----------------------------------------------------------------
 
 
@@ -98,7 +95,7 @@ def criterion_1(seed: int = 0) -> CriterionResult:
     worst = 0.0
     for _ in range(20):
         g = random_connected_graph(rng, 2, 7)
-        spectrum = _line_spectrum(g)
+        spectrum = line_graph_spectrum(g)
         state = random_edge_state(rng, g.n_edges)
         for t in rng.uniform(0.0, 10.0, size=20):
             walked = schur_state(g, state, float(t), spectrum)
@@ -110,7 +107,7 @@ def criterion_1(seed: int = 0) -> CriterionResult:
 
 def criterion_2(seed: int = 0) -> CriterionResult:
     """Quadrature time average converges to the closed-form dephasing."""
-    spectrum = _line_spectrum(path_graph(4))
+    spectrum = line_graph_spectrum(path_graph(4))
     x = np.zeros((3, 3), dtype=complex)
     x[0, 0] = 1.0
     target = dephase(spectrum, x)
@@ -138,7 +135,7 @@ def criterion_3(seed: int = 0) -> CriterionResult:
     notes = []
     passed = True
     for name, g, use_flat_band, expected_count in cases:
-        spectrum = _line_spectrum(g)
+        spectrum = line_graph_spectrum(g)
         state = flat_band_state(g).normalized if use_flat_band else uniform_state(g.n_edges)
         report = main_theorem_check(g, state, spectrum)
         enum = tree_count_enum(WeightedGraph(g, np.ones(g.n_edges))).value
@@ -168,11 +165,10 @@ def _connected_graph_catalog(rng: np.random.Generator) -> list[Graph]:
 
 
 def _elementary_laplacians(g: Graph) -> np.ndarray:
-    stack = np.zeros((g.n_edges, g.n_vertices, g.n_vertices))
-    for idx, (u, v) in enumerate(g.edges):
-        stack[idx, u, u] = stack[idx, v, v] = 1.0
-        stack[idx, u, v] = stack[idx, v, u] = -1.0
-    return stack
+    """The Laplacian of each edge alone, stacked: weights go in by ``tensordot``."""
+    n, m = g.n_vertices, g.n_edges
+    laps = [weighted_laplacian(WeightedGraph(g, unit)) for unit in np.eye(m)]
+    return np.array(laps).reshape(m, n, n)
 
 
 def criterion_4(seed: int = 0) -> CriterionResult:
@@ -211,7 +207,7 @@ def criterion_5(seed: int = 0) -> CriterionResult:
     worst = 0.0
     diag_ok = True
     for n in range(3, 11):
-        computed = average_mixing(_line_spectrum(path_graph(n)))
+        computed = average_mixing(line_graph_spectrum(path_graph(n)))
         worst = max(worst, float(np.abs(computed - path_mixing_closed_form(n)).max()))
         size = n - 1
         for q in range(size):
@@ -241,7 +237,7 @@ def criterion_6(seed: int = 0) -> CriterionResult:
         "line graph non-regular": {2, 4} <= set(lg.degrees().tolist()),
     }
     rho = np.outer(fb.normalized, fb.normalized.conj())
-    verdict = classify(rho, h, _line_spectrum(h))
+    verdict = classify(rho, h, line_graph_spectrum(h))
     checks["classified uniform commutative"] = verdict.verdict == UNIFORM_COMMUTATIVE
     try:
         flat_band_state(path_graph(4))
@@ -267,15 +263,15 @@ def criterion_7(seed: int = 0) -> CriterionResult:
     """Classifier reproduces the three reference verdicts."""
     c4 = cycle_graph(4)
     u = uniform_state(4)
-    v1 = classify(np.outer(u, u.conj()), c4, _line_spectrum(c4))
+    v1 = classify(np.outer(u, u.conj()), c4, line_graph_spectrum(c4))
 
     p4 = path_graph(4)
     e0 = basis_state(3, 0)
-    v2 = classify(np.outer(e0, e0.conj()), p4, _line_spectrum(p4))
+    v2 = classify(np.outer(e0, e0.conj()), p4, line_graph_spectrum(p4))
 
     k13 = complete_bipartite_graph(1, 3)
     vec = np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)
-    v3 = classify(np.outer(vec, vec.conj()), k13, _line_spectrum(k13))
+    v3 = classify(np.outer(vec, vec.conj()), k13, line_graph_spectrum(k13))
     weights_ok = bool(
         np.abs(v3.weights - np.array([1 / 6, 1 / 6, 2 / 3])).max() < 1e-9
     )
@@ -356,7 +352,7 @@ def criterion_9(seed: int = 0) -> CriterionResult:
     notes = []
     passed = True
 
-    mix4 = average_mixing(_line_spectrum(path_graph(4)))
+    mix4 = average_mixing(line_graph_spectrum(path_graph(4)))
     p4 = path_graph(4)
     center = tree_count_det(WeightedGraph(p4, mix4[:, 1])).value
     end = tree_count_det(WeightedGraph(p4, mix4[:, 0])).value
@@ -366,7 +362,7 @@ def criterion_9(seed: int = 0) -> CriterionResult:
     bound_report = []
     for n in (4, 6, 8):
         g = path_graph(n)
-        mix = average_mixing(_line_spectrum(g))
+        mix = average_mixing(line_graph_spectrum(g))
         m = n - 1
         counts = [tree_count_det(WeightedGraph(g, mix[:, q])).value for q in range(m)]
         central = counts[m // 2]

@@ -100,8 +100,8 @@ def classify(
     its diagonal and its distance from ``rho`` are formed, never the averaged
     matrix itself.
     """
-    if epsilon <= 0:
-        raise BadEpsilon(f"epsilon must be positive, got {epsilon!r}")
+    if not 0 < epsilon < math.inf:
+        raise BadEpsilon(f"epsilon must be positive and finite, got {epsilon!r}")
     mat = np.asarray(rho, dtype=complex)
     m = g.n_edges
     if mat.shape != (m, m):

@@ -21,7 +21,6 @@ from .errors import EigensolverFailure, EmptyGraph, ParseError, SchurWalkError, 
 from .graphs import (
     Graph,
     WeightedGraph,
-    adjacency_matrix,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -33,7 +32,7 @@ from .graphs import (
 )
 from .entropy import vertex_entropy, von_neumann_entropy
 from .mixing import average_mixing, averaged_weights, mixing_to_json
-from .spectral import DEFAULT_GROUPING_TOL, decompose
+from .spectral import DEFAULT_GROUPING_TOL, line_graph_spectrum
 from .states import basis_state, edge_state, induced_graph, schur_state, uniform_state
 from .treecount import IDENTITY_RTOL, scaled_unit_identity, tree_count_det, tree_count_exact
 
@@ -148,6 +147,8 @@ def _parse_weight_file(path: str, m: int) -> np.ndarray:
             raise ParseError(f"{path}:{number}: expected a float") from exc
         if not math.isfinite(value):
             raise ParseError(f"{path}:{number}: weight {line!r} is not finite")
+        if value < 0:
+            raise ParseError(f"{path}:{number}: weight {line!r} is negative")
         values.append(value)
     if len(values) != m:
         raise ParseError(f"{path}: expected {m} weights, found {len(values)}")
@@ -170,7 +171,7 @@ def _treecount_report(cfg: RunConfig, g: Graph) -> str:
             raise ParseError(f"bad edge index in {spec!r}") from exc
         if not 0 <= q < m:
             raise ParseError(f"edge index {q} out of range for {m} edges")
-        spectrum = decompose(adjacency_matrix(line_graph(g)).astype(float), cfg.grouping_tol)
+        spectrum = line_graph_spectrum(g, cfg.grouping_tol)
         weights = averaged_weights(spectrum, basis_state(m, q))
     elif spec.startswith("file:"):
         weights = _parse_weight_file(spec[len("file:") :], m)
@@ -196,7 +197,7 @@ def _treecount_report(cfg: RunConfig, g: Graph) -> str:
 
 def _entropy_csv(cfg: RunConfig, g: Graph) -> str:
     state = build_state(g, cfg.state_spec or "uniform")
-    spectrum = decompose(adjacency_matrix(line_graph(g)).astype(float), cfg.grouping_tol)
+    spectrum = line_graph_spectrum(g, cfg.grouping_tol)
     vn = von_neumann_entropy(np.outer(state, state.conj()))
     lines = [f"# von_neumann_entropy_bits = {vn!r}", "t,vertex_entropy_bits"]
     for t in cfg.time_samples:
@@ -230,11 +231,11 @@ def run_command(cfg: RunConfig) -> tuple[str, int]:
         comments.extend(f"{idx} = ({u}, {v})" for idx, (u, v) in enumerate(g.edges))
         return format_edge_list(lg, comments), 0
     if cfg.command == "mix":
-        spectrum = decompose(adjacency_matrix(line_graph(g)).astype(float), cfg.grouping_tol)
+        spectrum = line_graph_spectrum(g, cfg.grouping_tol)
         return mixing_to_json(average_mixing(spectrum)) + "\n", 0
     if cfg.command == "classify":
         state = build_state(g, cfg.state_spec or "uniform")
-        spectrum = decompose(adjacency_matrix(line_graph(g)).astype(float), cfg.grouping_tol)
+        spectrum = line_graph_spectrum(g, cfg.grouping_tol)
         rho = np.outer(state, state.conj())
         verdict = classify(rho, g, spectrum, cfg.epsilon)
         return classification_to_json(verdict) + "\n", 0
@@ -254,6 +255,7 @@ def run_command(cfg: RunConfig) -> tuple[str, int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; each command takes only the options it reads."""
     parser = argparse.ArgumentParser(
         prog="schurwalk",
         description="Edge-state quantum walks on line graphs.",
@@ -269,45 +271,52 @@ def build_parser() -> argparse.ArgumentParser:
         ("check-all", "run the full acceptance suite"),
     ]:
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--input", metavar="PATH", help="edge-list file")
-        cmd.add_argument("--builtin", metavar="NAME", help="named example graph")
-        cmd.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-        cmd.add_argument("--grouping-tol", type=float, default=DEFAULT_GROUPING_TOL)
-        cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--times", default=DEFAULT_TIMES, metavar="T1,T2,...")
+        if name != "check-all":
+            cmd.add_argument("--input", dest="input_path", metavar="PATH", help="edge-list file")
+            cmd.add_argument("--builtin", metavar="NAME", help="named example graph")
+        if name == "classify":
+            cmd.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+        if name in ("mix", "classify", "entropy", "treecount"):
+            cmd.add_argument("--grouping-tol", type=float, default=DEFAULT_GROUPING_TOL)
+        if name in ("check-all", "treecount"):
+            cmd.add_argument("--seed", type=int, default=0)
+        if name == "entropy":
+            cmd.add_argument("--times", default=DEFAULT_TIMES, metavar="T1,T2,...")
         cmd.add_argument("--output", metavar="PATH", help="write here instead of stdout")
         if name in ("classify", "entropy"):
             cmd.add_argument(
                 "--state",
+                dest="state_spec",
                 default="uniform",
+                metavar="SPEC",
                 help="edge:<q> | uniform | flatband | vector:<path> [,phase:<alpha>]",
             )
         if name == "treecount":
             cmd.add_argument(
                 "--weights",
+                dest="weight_spec",
                 default="unit",
+                metavar="SPEC",
                 help="unit | uniform | mixing:<q> | file:<path>",
             )
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    try:
-        times = [float(x) for x in args.times.split(",") if x.strip()]
-    except ValueError as exc:
-        raise ParseError(f"bad --times value {args.times!r}") from exc
-    return RunConfig(
-        command=args.command,
-        input_path=args.input,
-        builtin=args.builtin,
-        epsilon=args.epsilon,
-        grouping_tol=args.grouping_tol,
-        seed=args.seed,
-        time_samples=times,
-        output=args.output,
-        state_spec=getattr(args, "state", None),
-        weight_spec=getattr(args, "weights", None),
-    )
+    """The run configuration; a field whose option the command lacks keeps its default."""
+    values = vars(args).copy()
+    if "times" in values:
+        text = values.pop("times")
+        try:
+            values["time_samples"] = [float(x) for x in text.split(",") if x.strip()]
+        except ValueError as exc:
+            raise ParseError(f"bad --times value {text!r}") from exc
+        if not all(map(math.isfinite, values["time_samples"])):
+            raise ParseError(f"bad --times value {text!r}: every time must be finite")
+    cfg = RunConfig(**values)
+    if not 0 < cfg.grouping_tol < math.inf:
+        raise ParseError(f"bad --grouping-tol value {cfg.grouping_tol!r}: need 0 < tol < inf")
+    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -81,11 +81,6 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return a
 
 
-def laplacian_matrix(g: Graph) -> np.ndarray:
-    """Combinatorial Laplacian ``degree matrix - adjacency`` (integer dtype)."""
-    return np.diag(g.degrees()) - adjacency_matrix(g)
-
-
 def incidence_matrix(g: Graph) -> np.ndarray:
     """Unsigned vertex-edge incidence matrix, shape (n_vertices, n_edges).
 

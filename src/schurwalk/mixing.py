@@ -17,7 +17,7 @@ import json
 import numpy as np
 
 from .errors import DimensionMismatch
-from .graphs import Graph
+from .graphs import Graph, _endpoints
 from .spectral import Spectrum, dephase
 from .states import InducedWeightedGraph, edge_state, induced_from_adjacency
 
@@ -101,9 +101,9 @@ def averaged_induced(spectrum: Spectrum, g: Graph, e: np.ndarray) -> InducedWeig
         )
     weights = averaged_weights(spectrum, e)
     adj = np.zeros((g.n_vertices, g.n_vertices))
-    for idx, (u, v) in enumerate(g.edges):
-        adj[u, v] = weights[idx]
-        adj[v, u] = weights[idx]
+    u, v = _endpoints(g).T
+    adj[u, v] = weights
+    adj[v, u] = weights
     return induced_from_adjacency(adj)
 
 

@@ -1,22 +1,25 @@
 """Eigendecomposition with eigenvalue grouping, unitary evolution, and dephasing.
 
-The central object is :class:`Spectrum`: the orthonormal eigenbasis of a real
-symmetric matrix, the distinct eigenvalues, and a group label per basis
-column saying which distinct eigenvalue it belongs to.  The basis itself is
-stored, but every public output is basis-independent: each is masked or
-summed by group, so only the eigenspaces, never the vectors chosen inside a
-degenerate eigenspace, reach the result.  No dense projector is formed.
-Grouping nearly equal eigenvalues into one eigenspace matters: a degenerate
-level split by floating-point noise would otherwise dephase incorrectly.
+The central object is :class:`Spectrum`: the distinct eigenvalues of a real
+symmetric matrix, its largest eigenspace, and an orthonormal basis of the
+complement of that eigenspace with a group label per column saying which
+distinct eigenvalue it belongs to.  Every public output is
+basis-independent: each is masked or summed by group, so only the
+eigenspaces, never the vectors chosen inside a degenerate eigenspace, reach
+the result.  No dense projector is formed.  Grouping nearly equal
+eigenvalues into one eigenspace matters: a degenerate level split by
+floating-point noise would otherwise dephase incorrectly.
 
 The largest eigenspace is handled through its complement.  ``decompose``
-records the *dominant* group (most columns, lowest index on ties) and the
-``m x r`` block ``V_R`` of the basis columns outside it.  The dominant
-projector is ``P_D = I - V_R V_R^T``, so :func:`dephase`, :func:`evolve`,
-the mixing matrix and the averaged weights cost ``O(m^2 r)`` and never read
-the ``d = m - r`` columns of ``P_D``.  On a line graph the dominant group is
-usually the eigenvalue -2, whose multiplicity ``m - n + c_0`` (``c_0``
-bipartite components) grows with the cycle space, so ``r`` is at most ``n``.
+records the *dominant* group (most columns, lowest index on ties) and keeps
+only the ``m x r`` block ``V_R`` of the eigenbasis outside it; the ``d = m -
+r`` columns of the dominant group are dropped.  The dominant projector is
+``P_D = I - V_R V_R^T``, so :func:`dephase`, :func:`evolve`, the mixing
+matrix and the averaged weights cost ``O(m^2 r)``.  On a line graph the
+dominant group is usually the eigenvalue -2, whose multiplicity ``m - n +
+c_0`` (``c_0`` bipartite components) grows with the cycle space, so ``r`` is
+at most ``n``.  :func:`line_graph_spectrum` is the one place where the
+spectrum of a line graph is formed.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EigensolverFailure, NotSymmetric
+from .graphs import Graph, incidence_matrix
 
 DEFAULT_GROUPING_TOL = 1e-8
 SYMMETRY_TOL = 1e-12
@@ -35,31 +39,30 @@ SYMMETRY_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Distinct eigenvalues (increasing), eigenbasis, and the group of each column.
+    """Distinct eigenvalues (increasing), the dominant group, and the basis outside it.
 
-    Column ``j`` of ``basis`` is an eigenvector for
-    ``distinct_eigenvalues[group_ids[j]]``.  ``group_ids`` is nondecreasing,
-    so each group is a contiguous range of columns.
-
-    ``dominant`` is the group with the most columns, the lowest index on a
-    tie.  ``rest_basis`` holds the other columns, ``V_R`` (``m x r``), in
-    order; ``rest_groups`` labels them, ``rest_same_group`` is their
-    ``r x r`` same-group mask, 1.0 or 0.0, and ``rest_offsets`` their
-    eigenvalues minus the dominant one.  The forms built on them treat the
-    dominant projector as ``I - V_R V_R^T`` and never read its columns of
-    ``basis``; the full basis serves only the test references
-    (:attr:`projectors` and :func:`numeric_time_average`).
+    ``dominant`` is the group with the most eigenvalues, counted with
+    multiplicity, the lowest index on a tie.  ``rest_basis`` holds the
+    orthonormal eigenvectors of every other group, ``V_R`` (``m x r``), with
+    each group a contiguous range of columns in increasing order;
+    ``rest_groups`` labels them, ``rest_same_group`` is their ``r x r``
+    same-group mask, 1.0 or 0.0, and ``rest_offsets`` their eigenvalues minus
+    the dominant one.  The dominant eigenvectors are not stored: every form
+    built on the spectrum treats the dominant projector as
+    ``I - V_R V_R^T``.
     """
 
     distinct_eigenvalues: np.ndarray
-    basis: np.ndarray
-    group_ids: np.ndarray
-    dimension: int
     dominant: int
     rest_basis: np.ndarray
     rest_groups: np.ndarray
     rest_same_group: np.ndarray
     rest_offsets: np.ndarray
+
+    @property
+    def dimension(self) -> int:
+        """Size ``m`` of the decomposed matrix."""
+        return self.rest_basis.shape[0]
 
     @property
     def dominant_eigenvalue(self) -> float:
@@ -70,11 +73,18 @@ class Spectrum:
     def projectors(self) -> tuple[np.ndarray, ...]:
         """Dense orthogonal projector of each group, rebuilt on every access.
 
-        For tests only: it costs one m x m matrix per distinct eigenvalue.
+        ``I - V_R V_R^T`` for the dominant group and ``V_g V_g^T`` for each
+        other group.  For tests only: it costs one m x m matrix per distinct
+        eigenvalue.
         """
-        cuts = np.searchsorted(self.group_ids, np.arange(len(self.distinct_eigenvalues) + 1))
-        blocks = (self.basis[:, lo:hi] for lo, hi in zip(cuts, cuts[1:]))
-        return tuple(v @ v.T for v in blocks)
+        out = []
+        for g in range(len(self.distinct_eigenvalues)):
+            if g == self.dominant:
+                out.append(np.eye(self.dimension) - self.rest_basis @ self.rest_basis.T)
+            else:
+                v_g = self.rest_basis[:, self.rest_groups == g]
+                out.append(v_g @ v_g.T)
+        return tuple(out)
 
 
 def decompose(matrix: np.ndarray, grouping_tol: float = DEFAULT_GROUPING_TOL) -> Spectrum:
@@ -84,9 +94,10 @@ def decompose(matrix: np.ndarray, grouping_tol: float = DEFAULT_GROUPING_TOL) ->
     ``grouping_tol * max(1, spectral_radius)`` are merged into a single
     eigenspace; the reported eigenvalue is the group mean.  The dominant
     group and the basis columns outside it are recorded once, here.
+    ``grouping_tol`` must be positive and finite.
     """
-    if grouping_tol <= 0:
-        raise ValueError("grouping_tol must be positive")
+    if not 0 < grouping_tol < math.inf:
+        raise ValueError(f"grouping_tol must be positive and finite, got {grouping_tol!r}")
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
@@ -103,7 +114,7 @@ def decompose(matrix: np.ndarray, grouping_tol: float = DEFAULT_GROUPING_TOL) ->
     if n == 0:
         empty = np.zeros((0, 0))
         no_ids = np.zeros(0, dtype=int)
-        return Spectrum(np.array([]), empty, no_ids, 0, 0, empty, no_ids, empty, np.zeros(0))
+        return Spectrum(np.array([]), 0, empty, no_ids, empty, np.zeros(0))
 
     scale = max(1.0, -float(evals[0]), float(evals[-1]))
     group_ids = np.zeros(n, dtype=int)
@@ -115,9 +126,22 @@ def decompose(matrix: np.ndarray, grouping_tol: float = DEFAULT_GROUPING_TOL) ->
     rest_groups = group_ids[rest]
     same = (rest_groups[:, None] == rest_groups).astype(float)
     offsets = thetas[rest_groups] - thetas[dominant]
-    return Spectrum(
-        thetas, evecs, group_ids, n, dominant, evecs[:, rest], rest_groups, same, offsets
-    )
+    return Spectrum(thetas, dominant, evecs[:, rest], rest_groups, same, offsets)
+
+
+def line_graph_spectrum(g: Graph, grouping_tol: float = DEFAULT_GROUPING_TOL) -> Spectrum:
+    """:func:`decompose` of the adjacency matrix of the line graph of ``g``.
+
+    The matrix is ``B^T B - 2 I`` for the incidence matrix ``B`` of ``g``.
+    ``B`` is built in float so the product runs through BLAS; its entries
+    are small integers, so the matrix equals
+    ``adjacency_matrix(line_graph(g))`` exactly and the line graph itself is
+    never built.
+    """
+    b = incidence_matrix(g).astype(float)
+    a = b.T @ b
+    a.reshape(-1)[:: g.n_edges + 1] -= 2.0
+    return decompose(a, grouping_tol)
 
 
 def evolve(spectrum: Spectrum, t: float) -> np.ndarray:
@@ -212,10 +236,10 @@ def numeric_time_average(
 
     Averages over ``[0, horizon]`` with ``steps`` equal subintervals.  This is
     the brute-force quadrature oracle for :func:`dephase`; the deviation decays
-    like ``1/horizon``.  In the eigenbasis ``Y = V^T X V``, the block of
-    groups ``(g, h)`` is weighted by the quadrature sum of
-    ``exp(i t (theta_g - theta_h))``, so each step costs k x k phases, not an
-    m x m product.
+    like ``1/horizon``.  With the projectors ``P_g`` of the groups this is
+    ``sum_{g,h} F[g, h] P_g X P_h``, where ``F[g, h]`` is the quadrature sum
+    of ``exp(i t (theta_g - theta_h))``, so each step costs k x k phases, not
+    an m x m product.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -236,6 +260,7 @@ def numeric_time_average(
             weights[-1] = 0.5
         phases = np.exp(1j * np.outer(ts, thetas))
         factors += (weights[:, None] * phases).T @ phases.conj()
-    gids = spectrum.group_ids
-    v = spectrum.basis
-    return v @ (factors[np.ix_(gids, gids)] * (v.T @ x @ v)) @ v.T * (dt / horizon)
+    n = spectrum.dimension
+    p = np.array(spectrum.projectors).reshape(len(thetas), n, n)  # k x n x n, also for k = 0
+    # sum_g P_g X (sum_h F[g, h] P_h)
+    return (p @ x @ np.tensordot(factors, p, axes=1)).sum(axis=0) * (dt / horizon)

@@ -72,7 +72,8 @@ class InducedWeightedGraph:
 def schur_state(g: Graph, e: np.ndarray, t: float, spectrum: Spectrum) -> SchurState:
     """Schur state of edge state ``e`` walked for time ``t`` on the line graph.
 
-    ``spectrum`` must decompose the adjacency matrix of ``line_graph(g)``.
+    ``spectrum`` must be that of the line graph of ``g``, as
+    :func:`~schurwalk.spectral.line_graph_spectrum` gives it.
     For each edge ``{v, w}`` with ``v < w`` the walked amplitude on that edge
     is stored at ``[v, w]`` and its conjugate at ``[w, v]``; all other entries
     are zero.  The walk acts on the vector alone, as

@@ -29,6 +29,7 @@ from schurwalk import (
     is_eigenvector,
     line_graph,
     line_graph_spectral_floor,
+    line_graph_spectrum,
     path_graph,
     uniform_state,
 )
@@ -51,10 +52,6 @@ from spectra import even_connected_graphs, random_matrix, seeds, symmetric_matri
 
 
 classify_module = importlib.import_module("schurwalk.classify")
-
-
-def _line_spectrum(g):
-    return decompose(adjacency_matrix(line_graph(g)))
 
 
 def test_commutator_norm_examples():
@@ -108,15 +105,16 @@ def test_eigenvector_test_matches_commutator_test():
 def test_classifier_reference_verdicts():
     c4 = cycle_graph(4)
     u = uniform_state(4)
-    assert classify(np.outer(u, u.conj()), c4, _line_spectrum(c4)).verdict == UNIFORM_COMMUTATIVE
+    verdict = classify(np.outer(u, u.conj()), c4, line_graph_spectrum(c4))
+    assert verdict.verdict == UNIFORM_COMMUTATIVE
 
     p4 = path_graph(4)
     e0 = basis_state(3, 0)
-    assert classify(np.outer(e0, e0.conj()), p4, _line_spectrum(p4)).verdict == NON_COMMUTATIVE
+    assert classify(np.outer(e0, e0.conj()), p4, line_graph_spectrum(p4)).verdict == NON_COMMUTATIVE
 
     k13 = complete_bipartite_graph(1, 3)
     vec = np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)
-    verdict = classify(np.outer(vec, vec.conj()), k13, _line_spectrum(k13))
+    verdict = classify(np.outer(vec, vec.conj()), k13, line_graph_spectrum(k13))
     assert verdict.verdict == WEIGHTED_COMMUTATIVE
     assert np.abs(verdict.weights - np.array([1 / 6, 1 / 6, 2 / 3])).max() < 1e-12
     assert abs(verdict.weights.sum() - 1.0) < 1e-9
@@ -124,7 +122,7 @@ def test_classifier_reference_verdicts():
 
 def test_classifier_is_phase_invariant():
     c4 = cycle_graph(4)
-    s = _line_spectrum(c4)
+    s = line_graph_spectrum(c4)
     for alpha in (0.0, 0.9, -2.2):
         state = uniform_state(4, phase=alpha)
         verdict = classify(np.outer(state, state.conj()), c4, s)
@@ -136,7 +134,7 @@ def test_dephased_states_are_never_noncommutative():
     rng = np.random.default_rng(3)
     for _ in range(10):
         g = random_connected_graph(rng, 2, 6)
-        s = _line_spectrum(g)
+        s = line_graph_spectrum(g)
         state = random_edge_state(rng, g.n_edges)
         rho_hat = dephase(s, np.outer(state, state.conj()))
         assert classify(rho_hat, g, s).verdict != NON_COMMUTATIVE
@@ -181,7 +179,7 @@ def test_uniform_cross_check_is_relative(monkeypatch, factor, expected):
     g = cycle_graph(12)
     state = flat_band_state(g).normalized
     rho = np.outer(state, state.conj())
-    s = _line_spectrum(g)
+    s = line_graph_spectrum(g)
     assert classify(rho, g, s).verdict == UNIFORM_COMMUTATIVE
 
     log_tree_count = classify_module.log_tree_count
@@ -201,17 +199,18 @@ def test_uniform_cross_check_with_a_wide_epsilon():
     # anywhere below (1 + 1.2)**11 times the target: no lower bound exists.
     g = cycle_graph(12)
     state = flat_band_state(g).normalized
-    verdict = classify(2 * np.outer(state, state.conj()), g, _line_spectrum(g), epsilon=0.1)
+    verdict = classify(2 * np.outer(state, state.conj()), g, line_graph_spectrum(g), epsilon=0.1)
     assert verdict.verdict == UNIFORM_COMMUTATIVE
     assert "relative residual 2.047e+03" in verdict.detail
 
 
 def test_classifier_rejects_bad_arguments():
     g = cycle_graph(4)
-    s = _line_spectrum(g)
+    s = line_graph_spectrum(g)
     rho = np.eye(4) / 4
-    with pytest.raises(BadEpsilon):
-        classify(rho, g, s, epsilon=0.0)
+    for epsilon in (0.0, np.nan, np.inf):
+        with pytest.raises(BadEpsilon):
+            classify(rho, g, s, epsilon=epsilon)
     with pytest.raises(DimensionMismatch):
         classify(np.eye(3) / 3, g, s)
 
@@ -295,7 +294,7 @@ def test_spectral_floor():
 def test_classification_json_fields():
     c4 = cycle_graph(4)
     u = uniform_state(4)
-    verdict = classify(np.outer(u, u.conj()), c4, _line_spectrum(c4))
+    verdict = classify(np.outer(u, u.conj()), c4, line_graph_spectrum(c4))
     data = json.loads(classification_to_json(verdict))
     assert set(data) == {"detail", "epsilon", "m_rho", "n_rho", "verdict", "weights"}
     assert data["verdict"] == UNIFORM_COMMUTATIVE
@@ -320,7 +319,7 @@ def test_diagonal_and_drift_match_the_dephased_matrix(a, seed):
 def test_drift_of_a_dephased_state_stays_at_rounding_level():
     rng = np.random.default_rng(4)
     g = random_connected_graph(rng, 6, 8)
-    s = _line_spectrum(g)
+    s = line_graph_spectrum(g)
     e = random_edge_state(rng, g.n_edges)
     rho_hat = dephase(s, np.outer(e, e.conj()))
     assert _diagonal_and_drift(s, rho_hat)[1] < 1e-14

@@ -167,6 +167,38 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+BAD_OPTION_VALUES = [
+    (["mix", "--builtin", "p4", "--grouping-tol", "0"], 2),
+    (["mix", "--builtin", "p4", "--grouping-tol", "-1"], 2),
+    (["mix", "--builtin", "p4", "--grouping-tol", "nan"], 2),
+    (["entropy", "--builtin", "p4", "--grouping-tol", "inf"], 2),
+    (["entropy", "--builtin", "p4", "--times", "0.0,nan"], 2),
+    (["classify", "--builtin", "c4", "--epsilon", "nan"], 3),
+    (["classify", "--builtin", "c4", "--epsilon", "inf"], 3),
+    (["treecount", "--builtin", "k3", "--weights", "file:{weights}"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", BAD_OPTION_VALUES)
+def test_bad_option_values_are_reported_errors(argv, code, tmp_path, capsys):
+    weights = tmp_path / "weights.txt"
+    weights.write_text("0.3\n-0.5\n0.9\n")
+    assert main([arg.format(weights=weights) for arg in argv]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("error:") == 1 and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["mix", "--builtin", "p4", "--times", "1"], ["check-all", "--input", "x"]]
+)
+def test_commands_reject_options_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+
+
 def test_byte_identical_reruns():
     for argv in (
         ["mix", "--builtin", "fig8"],

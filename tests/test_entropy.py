@@ -17,6 +17,7 @@ from schurwalk import (
     evolve,
     induced_graph,
     line_graph,
+    line_graph_spectrum,
     path_graph,
     schur_state,
     vertex_entropy,
@@ -95,8 +96,7 @@ def test_averaging_never_lowers_entropy():
     rng = np.random.default_rng(44)
     for _ in range(60):
         g = random_connected_graph(rng, 2, 7)
-        lg_adj = adjacency_matrix(line_graph(g)).astype(float)
-        spectrum = decompose(lg_adj)
+        spectrum = line_graph_spectrum(g)
         state = random_edge_state(rng, g.n_edges)
         rho = np.outer(state, state.conj())
         before = von_neumann_entropy(rho)
@@ -125,7 +125,7 @@ def test_equality_for_commuting_and_strictness_for_noncommuting():
 def test_entropy_is_invariant_under_evolution():
     rng = np.random.default_rng(55)
     g = complete_graph(4)
-    spectrum = decompose(adjacency_matrix(line_graph(g)))
+    spectrum = line_graph_spectrum(g)
     rho = random_density_matrix(rng, g.n_edges)
     base = von_neumann_entropy(rho)
     for t in (0.3, 1.7, 4.0):
@@ -135,7 +135,7 @@ def test_entropy_is_invariant_under_evolution():
 
 def test_vertex_entropy_reference_values():
     g = path_graph(4)
-    s = decompose(adjacency_matrix(line_graph(g)))
+    s = line_graph_spectrum(g)
     walked = schur_state(g, basis_state(3, 0), 0.0, s)
     assert abs(vertex_entropy(induced_graph(walked))) < 1e-12
 

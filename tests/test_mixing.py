@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from schurwalk import (
     Graph,
+    WeightedGraph,
     adjacency_matrix,
     average_mixing,
     averaged_density,
@@ -17,8 +18,7 @@ from schurwalk import (
     cycle_graph,
     decompose,
     dephase,
-    laplacian_matrix,
-    line_graph,
+    line_graph_spectrum,
     mixing_to_json,
     numeric_time_average,
     path_graph,
@@ -27,18 +27,15 @@ from schurwalk import (
 )
 from schurwalk.acceptance import random_connected_graph, random_edge_state
 from schurwalk.errors import DimensionMismatch
+from schurwalk.treecount import weighted_laplacian
 from spectra import SMALL_SPECTRA, random_state, reference_eigenspaces, seeds, symmetric_matrices
 
 
-def _line_spectrum(g):
-    return decompose(adjacency_matrix(line_graph(g)))
-
-
 def test_path_mixing_reference_values():
-    computed = average_mixing(_line_spectrum(path_graph(4)))
+    computed = average_mixing(line_graph_spectrum(path_graph(4)))
     expected = np.array([[3 / 8, 1 / 4, 3 / 8], [1 / 4, 1 / 2, 1 / 4], [3 / 8, 1 / 4, 3 / 8]])
     assert np.abs(computed - expected).max() < 1e-12
-    assert np.abs(average_mixing(_line_spectrum(Graph(2, ((0, 1),)))) - [[1.0]]).max() == 0
+    assert np.abs(average_mixing(line_graph_spectrum(Graph(2, ((0, 1),)))) - [[1.0]]).max() == 0
 
 
 def test_closed_form_matches_small_cases_and_is_stochastic():
@@ -47,15 +44,15 @@ def test_closed_form_matches_small_cases_and_is_stochastic():
         rows = path_mixing_closed_form(n).sum(axis=1)
         assert np.abs(rows - 1.0).max() < 1e-12
     for n in range(3, 11):
-        gap = np.abs(average_mixing(_line_spectrum(path_graph(n))) - path_mixing_closed_form(n))
-        assert gap.max() < 1e-9
+        mixed = average_mixing(line_graph_spectrum(path_graph(n)))
+        assert np.abs(mixed - path_mixing_closed_form(n)).max() < 1e-9
 
 
 def test_mixing_matrix_invariants_on_random_graphs():
     rng = np.random.default_rng(14)
     for _ in range(10):
         g = random_connected_graph(rng, 3, 7)
-        mixed = average_mixing(_line_spectrum(g))
+        mixed = average_mixing(line_graph_spectrum(g))
         assert np.abs(mixed - mixed.T).max() < 1e-12
         assert mixed.min() >= -1e-12
         assert np.abs(mixed.sum(axis=1) - 1.0).max() < 1e-9
@@ -64,7 +61,7 @@ def test_mixing_matrix_invariants_on_random_graphs():
 
 def test_averaged_density_of_an_eigenvector_is_unchanged():
     g = cycle_graph(4)
-    s = _line_spectrum(g)
+    s = line_graph_spectrum(g)
     state = uniform_state(4)  # Perron eigenvector of the 2-regular line graph
     rho = averaged_density(s, state)
     assert np.abs(rho - np.outer(state, state.conj())).max() < 1e-12
@@ -72,7 +69,7 @@ def test_averaged_density_of_an_eigenvector_is_unchanged():
 
 def test_averaged_density_diagonal_is_a_mixing_column():
     g = path_graph(4)
-    s = _line_spectrum(g)
+    s = line_graph_spectrum(g)
     rho = averaged_density(s, basis_state(3, 0))
     assert np.allclose(rho.diagonal().real, [3 / 8, 1 / 4, 3 / 8], atol=1e-12)
 
@@ -86,7 +83,7 @@ def test_averaged_density_diagonal_is_a_mixing_column():
 def test_averaged_density_is_a_density_and_a_fixed_point():
     rng = np.random.default_rng(19)
     g = random_connected_graph(rng, 3, 6)
-    s = _line_spectrum(g)
+    s = line_graph_spectrum(g)
     rho = averaged_density(s, random_edge_state(rng, g.n_edges))
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert np.linalg.eigvalsh(rho).min() >= -1e-9
@@ -97,14 +94,15 @@ def test_averaged_density_is_a_density_and_a_fixed_point():
 
 def test_averaged_induced_uniform_state_on_cycle():
     g = cycle_graph(4)
-    induced = averaged_induced(_line_spectrum(g), g, uniform_state(4))
+    induced = averaged_induced(line_graph_spectrum(g), g, uniform_state(4))
     assert np.abs(induced.adjacency - adjacency_matrix(g) / 4).max() < 1e-9
-    assert np.abs(induced.laplacian - laplacian_matrix(g) / 4).max() < 1e-9
+    unit = weighted_laplacian(WeightedGraph(g, np.ones(4)))
+    assert np.abs(induced.laplacian - unit / 4).max() < 1e-9
 
 
 def test_averaged_induced_pure_state_weights_and_total():
     g = path_graph(4)
-    s = _line_spectrum(g)
+    s = line_graph_spectrum(g)
     mixed = average_mixing(s)
     for q in range(3):
         induced = averaged_induced(s, g, basis_state(3, q))
@@ -115,7 +113,7 @@ def test_averaged_induced_pure_state_weights_and_total():
 
 def test_averaged_outputs_ignore_global_phase():
     g = path_graph(4)
-    s = _line_spectrum(g)
+    s = line_graph_spectrum(g)
     for alpha in (0.0, 0.7, 2.0, -1.3):
         rho = averaged_density(s, basis_state(3, 1, phase=alpha))
         base = averaged_density(s, basis_state(3, 1))
@@ -124,7 +122,7 @@ def test_averaged_outputs_ignore_global_phase():
 
 def test_quadrature_agrees_with_averaged_density():
     g = path_graph(4)
-    s = _line_spectrum(g)
+    s = line_graph_spectrum(g)
     state = basis_state(3, 0)
     rho_hat = averaged_density(s, state)
     quad = numeric_time_average(s, np.outer(state, state.conj()), 1e4, 200_000)
@@ -167,7 +165,7 @@ def test_mixing_columns_are_basis_state_weights_and_doubly_stochastic(a):
 
 
 def test_averaged_weights_rejects_a_wrong_size_state():
-    s = _line_spectrum(path_graph(4))
+    s = line_graph_spectrum(path_graph(4))
     with pytest.raises(DimensionMismatch):
         averaged_weights(s, uniform_state(4))
 

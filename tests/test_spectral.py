@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from schurwalk import (
+    Graph,
+    Spectrum,
     adjacency_matrix,
     complete_graph,
     decompose,
@@ -16,10 +20,12 @@ from schurwalk import (
     figure_eight_graph,
     incidence_matrix,
     line_graph,
+    line_graph_spectrum,
     numeric_time_average,
     path_graph,
 )
 from schurwalk.errors import DimensionMismatch, NotSymmetric
+from schurwalk.spectral import DEFAULT_GROUPING_TOL
 from spectra import (
     SMALL_SPECTRA,
     connected_graphs,
@@ -50,7 +56,7 @@ def test_zero_matrix_spectrum():
 
 def test_flat_band_multiplicity_matches_incidence_kernel():
     h = figure_eight_graph()
-    s = decompose(adjacency_matrix(line_graph(h)))
+    s = line_graph_spectrum(h)
     idx = int(np.argmin(np.abs(s.distinct_eigenvalues - (-2.0))))
     assert abs(s.distinct_eigenvalues[idx] + 2.0) < 1e-9
     multiplicity = round(np.trace(s.projectors[idx]))
@@ -83,12 +89,13 @@ def test_decompose_rejects_asymmetric_input():
         decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NotSymmetric):
         decompose(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        decompose(np.zeros((2, 2)), grouping_tol=0.0)
+    for tol in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            decompose(np.zeros((2, 2)), grouping_tol=tol)
 
 
 def test_evolve_identity_and_unitarity():
-    s = decompose(adjacency_matrix(line_graph(figure_eight_graph())))
+    s = line_graph_spectrum(figure_eight_graph())
     assert np.abs(evolve(s, 0.0) - np.eye(8)).max() < 1e-12
     u = evolve(s, 1.7)
     assert np.abs(u @ u.conj().T - np.eye(8)).max() < 1e-9
@@ -121,7 +128,7 @@ def test_dephase_fixed_points_and_projection():
 
 
 def test_numeric_time_average_preserves_trace_and_converges():
-    s = decompose(adjacency_matrix(line_graph(path_graph(4))))
+    s = line_graph_spectrum(path_graph(4))
     x = np.zeros((3, 3), dtype=complex)
     x[0, 0] = 1.0
     target = dephase(s, x)
@@ -193,6 +200,9 @@ def test_dominant_group_and_its_complement(a):
     assert s.rest_basis.shape == (s.dimension, s.dimension - max(ranks))
     complement = np.eye(s.dimension) - s.rest_basis @ s.rest_basis.T
     assert np.abs(complement - spaces[s.dominant][1]).max() < 1e-12
+    assert len(s.projectors) == len(spaces)
+    for proj, (_, expected) in zip(s.projectors, spaces):
+        assert np.abs(proj - expected).max() < 1e-12
     assert s.dominant not in s.rest_groups
     assert (s.rest_same_group == (s.rest_groups[:, None] == s.rest_groups)).all()
 
@@ -246,3 +256,66 @@ def test_line_graph_dominant_group_is_the_flat_band(g):
     assume(flat > 0 and flat >= max(ranks.values(), default=0))
     assert abs(s.distinct_eigenvalues[s.dominant] + 2.0) < 1e-9
     assert s.rest_basis.shape == (m, n - c0)
+
+
+# -- the one line-graph entry point, and the quadrature oracle ---------------
+
+# Graphs beyond connected_graphs(): no edges, one edge, two components, one vertex.
+SMALL_GRAPHS = [
+    Graph(3, ()),
+    Graph(2, ((0, 1),)),
+    Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5))),
+    Graph(1, ()),
+]
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(connected_graphs(), st.sampled_from(SMALL_GRAPHS)),
+    st.sampled_from([DEFAULT_GROUPING_TOL, 1e-3]),
+)
+def test_line_graph_spectrum_equals_decompose_of_the_line_graph(g, tol):
+    got = line_graph_spectrum(g, tol)
+    want = decompose(adjacency_matrix(line_graph(g)), tol)
+    for field in dataclasses.fields(Spectrum):
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+
+
+def full_basis_time_average(a, x, horizon, steps):
+    """The quadrature average in the full eigenbasis ``V`` of ``eigh``, one sum over all steps.
+
+    ``V (F[g_i, g_j] * V^T X V) V^T * dt / horizon``, where ``g_i`` is the
+    eigenspace of column ``i`` (cut at every gap > 1e-6, as
+    :func:`reference_eigenspaces` cuts) and ``F`` is the trapezoidal sum of
+    ``exp(i t (theta_g - theta_h))``.
+    """
+    values, v = np.linalg.eigh(a)
+    gap = 1e-6 * max(1.0, float(np.abs(values).max(initial=0.0)))
+    ids = np.zeros(len(values), dtype=int)
+    np.cumsum(np.diff(values) > gap, out=ids[1:])
+    thetas = np.bincount(ids, weights=values) / np.bincount(ids)
+    dt = horizon / steps
+    weights = np.ones(steps + 1)
+    weights[[0, -1]] = 0.5
+    phases = np.exp(1j * np.outer(dt * np.arange(steps + 1), thetas))
+    factors = (weights[:, None] * phases).T @ phases.conj()
+    return v @ (factors[np.ix_(ids, ids)] * (v.T @ x @ v)) @ v.T * (dt / horizon)
+
+
+@PROPERTY_SETTINGS
+@given(symmetric_matrices, seeds, st.floats(0.5, 50.0), st.integers(2, 40))
+def test_numeric_time_average_matches_the_full_basis_formula(a, seed, horizon, steps):
+    s = decompose(a)
+    x = random_matrix(seed, s.dimension)
+    expected = full_basis_time_average(a, x, horizon, steps)
+    assert np.abs(numeric_time_average(s, x, horizon, steps) - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", SMALL_SPECTRA)
+def test_numeric_time_average_on_small_spectra(name):
+    a, _ = SMALL_SPECTRA[name]
+    s = decompose(a)
+    x = random_matrix(5, s.dimension) if s.dimension else np.zeros((0, 0))
+    got = numeric_time_average(s, x, 3.7, 9)
+    assert got.shape == x.shape
+    assert np.abs(got - full_basis_time_average(a, x, 3.7, 9)).max(initial=0.0) < 1e-12

@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 from schurwalk import (
     Graph,
     SchurState,
-    adjacency_matrix,
     basis_state,
     complete_graph,
-    decompose,
     edge_state,
     evolve,
     induced_graph,
-    line_graph,
+    line_graph_spectrum,
     path_graph,
     schur_inner,
     schur_state,
@@ -30,10 +28,6 @@ from schurwalk import (
 from schurwalk.acceptance import random_connected_graph, random_edge_state
 from schurwalk.errors import DimensionMismatch, GraphMismatch, NotNormalized
 from spectra import seeds
-
-
-def _line_spectrum(g):
-    return decompose(adjacency_matrix(line_graph(g)))
 
 
 def test_edge_state_rejects_bad_input():
@@ -55,7 +49,7 @@ def test_basis_and_uniform_states():
 
 def test_schur_state_at_time_zero_places_single_entry():
     g = path_graph(4)
-    s = _line_spectrum(g)
+    s = line_graph_spectrum(g)
     state = schur_state(g, basis_state(3, 1), 0.0, s)
     expected_edge = g.edges[1]
     for u in range(4):
@@ -70,7 +64,7 @@ def test_schur_state_hermitian_and_supported_exactly():
     rng = np.random.default_rng(2)
     for _ in range(10):
         g = random_connected_graph(rng, 2, 6)
-        s = _line_spectrum(g)
+        s = line_graph_spectrum(g)
         state = schur_state(g, random_edge_state(rng, g.n_edges), rng.uniform(0, 5), s)
         entries = state.entries
         edge_set = set(g.edges)
@@ -86,7 +80,7 @@ def test_squared_norm_is_two():
     rng = np.random.default_rng(9)
     for _ in range(8):
         g = random_connected_graph(rng, 2, 7)
-        s = _line_spectrum(g)
+        s = line_graph_spectrum(g)
         state = schur_state(g, random_edge_state(rng, g.n_edges), rng.uniform(0, 10), s)
         assert abs(schur_inner(state, state) - 2.0) < 1e-9
 
@@ -97,7 +91,7 @@ def test_schur_state_is_linear_in_the_edge_state():
     # for real superposition coefficients.
     rng = np.random.default_rng(13)
     g = complete_graph(4)
-    s = _line_spectrum(g)
+    s = line_graph_spectrum(g)
     t = 1.3
     upper = np.triu_indices(g.n_vertices, k=1)
 
@@ -122,7 +116,7 @@ def test_schur_state_is_linear_in_the_edge_state():
 def test_schur_state_walks_like_the_full_unitary(seed, times):
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, 2, 8)
-    s = _line_spectrum(g)
+    s = line_graph_spectrum(g)
     e = random_edge_state(rng, g.n_edges)
     rows, cols = np.array(g.edges).T
     for t in times:
@@ -134,7 +128,7 @@ def test_schur_state_walks_like_the_full_unitary(seed, times):
 
 def test_trivial_walk_is_constant_in_time():
     g = Graph(2, ((0, 1),))  # line graph is a single vertex, so U(t) = [1]
-    s = _line_spectrum(g)
+    s = line_graph_spectrum(g)
     first = schur_state(g, basis_state(1, 0), 0.0, s)
     second = schur_state(g, basis_state(1, 0), 3.7, s)
     assert np.abs(first.entries - second.entries).max() < 1e-12
@@ -148,7 +142,7 @@ def test_schur_inner_examples():
     m = SchurState(entries, g)
     assert abs(schur_inner(m, m) - 2 * 0.25) < 1e-12
 
-    s = _line_spectrum(g)
+    s = line_graph_spectrum(g)
     a = schur_state(g, random_edge_state(np.random.default_rng(1), 2), 0.4, s)
     b = schur_state(g, random_edge_state(np.random.default_rng(2), 2), 1.1, s)
     assert abs(schur_inner(a, b) - np.conj(schur_inner(b, a))) < 1e-12
@@ -163,7 +157,7 @@ def test_schur_inner_matches_the_all_ones_bilinear_form():
     rng = np.random.default_rng(23)
     for _ in range(8):
         g = random_connected_graph(rng, 2, 7)
-        s = _line_spectrum(g)
+        s = line_graph_spectrum(g)
         a = schur_state(g, random_edge_state(rng, g.n_edges), rng.uniform(0, 10), s)
         b = schur_state(g, random_edge_state(rng, g.n_edges), rng.uniform(0, 10), s)
         ones = np.ones(g.n_vertices)
@@ -172,7 +166,7 @@ def test_schur_inner_matches_the_all_ones_bilinear_form():
 
 def test_induced_graph_at_time_zero_and_total_weight():
     g = path_graph(4)
-    s = _line_spectrum(g)
+    s = line_graph_spectrum(g)
     state = schur_state(g, basis_state(3, 0), 0.0, s)
     induced = induced_graph(state)
     assert abs(induced.adjacency[0, 1] - 1.0) < 1e-12
@@ -191,7 +185,7 @@ def test_induced_graph_at_time_zero_and_total_weight():
 def test_tensor_of_induced_weights_is_kronecker():
     rng = np.random.default_rng(31)
     g1, g2 = path_graph(3), complete_graph(3)
-    s1, s2 = _line_spectrum(g1), _line_spectrum(g2)
+    s1, s2 = line_graph_spectrum(g1), line_graph_spectrum(g2)
     a = schur_state(g1, random_edge_state(rng, g1.n_edges), 0.8, s1)
     b = schur_state(g2, random_edge_state(rng, g2.n_edges), 1.9, s2)
     combined = schur_tensor(a, b)
@@ -254,7 +248,7 @@ def test_bilinear_form_factorizes_over_tensor_states():
 
 def test_tensor_with_zero_state_is_zero():
     g = path_graph(3)
-    s = _line_spectrum(g)
+    s = line_graph_spectrum(g)
     a = schur_state(g, basis_state(2, 0), 0.5, s)
     zero = SchurState(np.zeros((1, 1), dtype=complex), Graph(1, ()))
     combined = schur_tensor(a, zero)
@@ -263,7 +257,7 @@ def test_tensor_with_zero_state_is_zero():
 
 def test_json_round_trip():
     g = path_graph(4)
-    s = _line_spectrum(g)
+    s = line_graph_spectrum(g)
     state = schur_state(g, random_edge_state(np.random.default_rng(3), 3), 2.2, s)
     text = schur_state_to_json(state)
     recovered = schur_state_from_json(text)

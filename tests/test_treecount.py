@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from schurwalk import (
     Graph,
     WeightedGraph,
-    adjacency_matrix,
     average_mixing,
     basis_state,
     bridge_factorization_check,
@@ -23,7 +22,7 @@ from schurwalk import (
     decompose,
     figure_eight_graph,
     flat_band_state,
-    line_graph,
+    line_graph_spectrum,
     main_theorem_check,
     path_graph,
     pure_state_tree_count,
@@ -46,10 +45,6 @@ from schurwalk.graphs import is_connected
 from schurwalk.mixing import averaged_induced
 from schurwalk.treecount import log_tree_count, scaled_unit_identity, weighted_laplacian
 from spectra import connected_graphs, even_connected_graphs
-
-
-def _line_spectrum(g):
-    return decompose(adjacency_matrix(line_graph(g)))
 
 
 def _eigen_product_count(wg):
@@ -185,17 +180,18 @@ def test_methods_agree_and_deletion_is_irrelevant():
 
 
 def test_main_theorem_reference_cases():
-    report = main_theorem_check(cycle_graph(4), uniform_state(4), _line_spectrum(cycle_graph(4)))
+    c4 = cycle_graph(4)
+    report = main_theorem_check(c4, uniform_state(4), line_graph_spectrum(c4))
     assert report["is_uniform_commutative"] and report["passed"]
     assert abs(report["lhs"] - 1 / 16) < 1e-9 and abs(report["rhs"] - 1 / 16) < 1e-15
 
     k4 = complete_graph(4)
-    report = main_theorem_check(k4, uniform_state(6), _line_spectrum(k4))
+    report = main_theorem_check(k4, uniform_state(6), line_graph_spectrum(k4))
     assert abs(report["lhs"] - 2 / 27) < 1e-9 and report["passed"]
 
     fig8 = figure_eight_graph()
     state = flat_band_state(fig8).normalized
-    report = main_theorem_check(fig8, state, _line_spectrum(fig8))
+    report = main_theorem_check(fig8, state, line_graph_spectrum(fig8))
     assert report["is_uniform_commutative"] and report["passed"]
     assert abs(report["rhs"] - 16 / 8**6) < 1e-18
 
@@ -204,7 +200,7 @@ def test_main_theorem_flags_noncommutative_states():
     g = path_graph(4)
     state = np.array([0.8, 0.36, 0.48], dtype=complex)
     state /= np.linalg.norm(state)
-    report = main_theorem_check(g, state, _line_spectrum(g))
+    report = main_theorem_check(g, state, line_graph_spectrum(g))
     assert not report["is_uniform_commutative"]
 
 
@@ -214,7 +210,7 @@ def test_main_theorem_preconditions():
         main_theorem_check(g, uniform_state(2), decompose(np.zeros((2, 2))))
     p4 = path_graph(4)
     with pytest.raises(NotFullSupport):
-        main_theorem_check(p4, basis_state(3, 1), _line_spectrum(p4))
+        main_theorem_check(p4, basis_state(3, 1), line_graph_spectrum(p4))
 
 
 def test_main_theorem_compares_tiny_counts_relatively():
@@ -223,7 +219,7 @@ def test_main_theorem_compares_tiny_counts_relatively():
     g = cycle_graph(12)
     rng = np.random.default_rng(12)
     state = rng.uniform(0.5, 1.5, 12) * np.exp(1j * rng.uniform(0, 2 * np.pi, 12))
-    report = main_theorem_check(g, state / np.linalg.norm(state), _line_spectrum(g))
+    report = main_theorem_check(g, state / np.linalg.norm(state), line_graph_spectrum(g))
     assert report["rhs"] < 1e-9 and report["lhs"] < 1e-9
     assert abs(report["lhs"] - report["rhs"]) > 1e-3 * report["rhs"]
     assert report["passed"] is False
@@ -283,7 +279,7 @@ def test_uniform_optimality_scan():
 
 def test_pure_state_tree_counts_on_paths():
     g = path_graph(4)
-    s = _line_spectrum(g)
+    s = line_graph_spectrum(g)
     assert abs(pure_state_tree_count(g, 0, s).value - 9 / 256) < 1e-12
     assert abs(pure_state_tree_count(g, 1, s).value - 1 / 32) < 1e-12
     assert abs(pure_state_tree_count(g, 2, s).value - 9 / 256) < 1e-12
@@ -293,7 +289,7 @@ def test_pure_state_count_matches_enumeration():
     rng = np.random.default_rng(41)
     for _ in range(12):
         g = random_connected_graph(rng, 3, 7)
-        s = _line_spectrum(g)
+        s = line_graph_spectrum(g)
         mixed = average_mixing(s)
         for q in range(g.n_edges):
             oracle = tree_count_enum(WeightedGraph(g, mixed[:, q])).value
@@ -303,7 +299,7 @@ def test_pure_state_count_matches_enumeration():
 
 def test_pure_state_count_matches_phased_averaged_weights():
     g = path_graph(4)
-    s = _line_spectrum(g)
+    s = line_graph_spectrum(g)
     for alpha in (0.0, 1.1, -2.5):
         induced = averaged_induced(s, g, basis_state(3, 1, phase=alpha))
         minor = np.delete(np.delete(induced.laplacian, 0, axis=0), 0, axis=1)
@@ -430,5 +426,5 @@ def test_tree_counts_are_invariant_under_relabelling(g, data):
 @settings(max_examples=40, deadline=None)
 @given(even_connected_graphs())
 def test_flat_band_states_satisfy_the_main_theorem(h):
-    report = main_theorem_check(h, flat_band_state(h).normalized, _line_spectrum(h))
+    report = main_theorem_check(h, flat_band_state(h).normalized, line_graph_spectrum(h))
     assert report["is_uniform_commutative"] and report["passed"]
