@@ -4,7 +4,8 @@ U(t) never converges, but its time average does.  The average mixing matrix
 is computed exactly from spectral projectors (sum of their entrywise
 squares); a brute-force trapezoid quadrature over a long horizon converges
 to the same answer at rate 1/T, which is the package's independence check.
-For paths there is even a closed form.
+For paths there is even a closed form.  Both oracles live in
+``schurwalk.acceptance``, next to the criteria that use them.
 """
 
 import numpy as np
@@ -14,10 +15,9 @@ from schurwalk import (
     averaged_density,
     basis_state,
     line_graph_spectrum,
-    numeric_time_average,
     path_graph,
-    path_mixing_closed_form,
 )
+from schurwalk.acceptance import numeric_time_average, path_mixing_closed_form
 
 g = path_graph(4)
 spectrum = line_graph_spectrum(g)

@@ -4,7 +4,9 @@ Two independent routes to the same number: a principal minor of the weighted
 Laplacian, and brute-force enumeration of spanning trees.  For a uniform
 commutative starting state, the time-averaged edge weights are exactly 1/m,
 so the averaged graph's tree count equals the unit count divided by m^(n-1).
-Uniform weights are also optimal: no other simplex weighting beats them.
+On the 4-cycle uniform weights are also optimal: no other simplex weighting
+beats them.  That does not hold on every graph: on the paw (a triangle with a
+pendant edge) the weights (2/9, 2/9, 2/9, 1/3) beat uniform ones by 256/243.
 """
 
 import numpy as np
@@ -19,9 +21,9 @@ from schurwalk import (
     path_graph,
     tree_count_det,
     tree_count_enum,
-    uniform_optimality_scan,
     uniform_state,
 )
+from schurwalk.acceptance import uniform_optimality_scan
 
 # Determinant vs enumeration on a triangle with symbolic-looking weights.
 wg = WeightedGraph(complete_graph(3), np.array([0.2, 0.3, 0.5]))
@@ -46,7 +48,7 @@ for q, label in ((0, "end"), (1, "center")):
     print(f"pure state on the {label} edge of the 4-path: "
           f"count = {pure_state_tree_count(g, q, spectrum).value}")
 
-# Random search never beats uniform weights.
+# Random search never beats uniform weights on the 4-cycle.
 scan = uniform_optimality_scan(cycle_graph(4), samples=2000, seed=1)
 print(f"\n2000 random simplex weightings on the 4-cycle: "
       f"max ratio to uniform = {scan['max_ratio']:.6f} (uniform is optimal)")

@@ -21,7 +21,6 @@ from schurwalk import (
     flat_band_state,
     incidence_matrix,
     line_graph,
-    line_graph_spectral_floor,
     line_graph_spectrum,
     complete_bipartite_graph,
     path_graph,
@@ -61,5 +60,5 @@ print("  non-uniform eigenvector on 3-star:", verdict.verdict, "weights", verdic
 
 # Spectral obstruction: line graphs never dip below -2; K_{2,4} does.
 k24 = complete_bipartite_graph(2, 4)
-floor = line_graph_spectral_floor(k24, decompose(adjacency_matrix(k24)))
+floor = decompose(adjacency_matrix(k24)).distinct_eigenvalues[0]
 print(f"\nsmallest eigenvalue of K_2,4 = {floor:.6f} < -2, so it is not a line graph")

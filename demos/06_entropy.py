@@ -15,7 +15,6 @@ from schurwalk import (
     basis_state,
     binary_entropy,
     complete_graph,
-    disjoint_union_entropy_check,
     induced_graph,
     line_graph_spectrum,
     path_graph,
@@ -23,6 +22,7 @@ from schurwalk import (
     vertex_entropy,
     von_neumann_entropy,
 )
+from schurwalk.acceptance import disjoint_union_entropy_check
 from schurwalk.states import induced_from_adjacency
 
 g = path_graph(4)

@@ -10,17 +10,9 @@ from .classify import (
     FlatBandState,
     classification_to_json,
     classify,
-    commutator_norm,
     flat_band_state,
-    is_eigenvector,
-    line_graph_spectral_floor,
 )
-from .entropy import (
-    binary_entropy,
-    disjoint_union_entropy_check,
-    vertex_entropy,
-    von_neumann_entropy,
-)
+from .entropy import binary_entropy, vertex_entropy, von_neumann_entropy
 from .errors import SchurWalkError
 from .graphs import (
     Graph,
@@ -38,7 +30,6 @@ from .graphs import (
     line_graph,
     parse_edge_list,
     path_graph,
-    tensor_product,
 )
 from .mixing import (
     average_mixing,
@@ -46,16 +37,8 @@ from .mixing import (
     averaged_induced,
     averaged_weights,
     mixing_to_json,
-    path_mixing_closed_form,
 )
-from .spectral import (
-    Spectrum,
-    decompose,
-    dephase,
-    evolve,
-    line_graph_spectrum,
-    numeric_time_average,
-)
+from .spectral import Spectrum, decompose, dephase, evolve, line_graph_spectrum
 from .states import (
     InducedWeightedGraph,
     SchurState,
@@ -64,9 +47,6 @@ from .states import (
     induced_graph,
     schur_inner,
     schur_state,
-    schur_state_from_json,
-    schur_state_to_json,
-    schur_tensor,
     uniform_state,
 )
 from .treecount import (
@@ -78,7 +58,6 @@ from .treecount import (
     tree_count_det,
     tree_count_enum,
     tree_count_exact,
-    uniform_optimality_scan,
 )
 
 __all__ = [
@@ -102,14 +81,12 @@ __all__ = [
     "bridges",
     "classification_to_json",
     "classify",
-    "commutator_norm",
     "complete_bipartite_graph",
     "complete_graph",
     "connected_components",
     "cycle_graph",
     "decompose",
     "dephase",
-    "disjoint_union_entropy_check",
     "edge_state",
     "eulerian_trail",
     "evolve",
@@ -118,28 +95,19 @@ __all__ = [
     "format_edge_list",
     "incidence_matrix",
     "induced_graph",
-    "is_eigenvector",
     "line_graph",
-    "line_graph_spectral_floor",
     "line_graph_spectrum",
     "main_theorem_check",
     "mixing_to_json",
-    "numeric_time_average",
     "parse_edge_list",
     "path_graph",
-    "path_mixing_closed_form",
     "pure_state_tree_count",
     "schur_inner",
     "schur_state",
-    "schur_state_from_json",
-    "schur_state_to_json",
-    "schur_tensor",
     "spanning_trees",
-    "tensor_product",
     "tree_count_det",
     "tree_count_enum",
     "tree_count_exact",
-    "uniform_optimality_scan",
     "uniform_state",
     "vertex_entropy",
     "von_neumann_entropy",

@@ -1,4 +1,4 @@
-"""Commutativity tests, the disorder classifier, and flat-band state construction.
+"""The disorder classifier and flat-band state construction.
 
 The classifier sorts a density matrix on the edge space into one of four
 verdicts.  A state moved by dephasing is non-commutative.  A fixed point whose
@@ -22,14 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadEpsilon,
-    DimensionMismatch,
-    Disconnected,
-    EmptyGraph,
-    OddDegreeVertex,
-    OddEdgeCount,
-)
+from .errors import OddDegreeVertex, OddEdgeCount, SchurWalkError
 from .graphs import (
     Graph,
     WeightedGraph,
@@ -68,28 +61,6 @@ class FlatBandState:
     normalized: np.ndarray
 
 
-def commutator_norm(matrix: np.ndarray, rho: np.ndarray) -> float:
-    """Frobenius norm of ``A rho - rho A``."""
-    a = np.asarray(matrix, dtype=complex)
-    r = np.asarray(rho, dtype=complex)
-    if a.shape != r.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"incompatible shapes {a.shape} and {r.shape}")
-    return float(np.linalg.norm(a @ r - r @ a))
-
-
-def is_eigenvector(matrix: np.ndarray, vector: np.ndarray, tol: float = 1e-8) -> float | None:
-    """Rayleigh-quotient eigenvalue of a unit vector, or None above tolerance.
-
-    For pure states this is the commutativity criterion: ``|v><v|`` commutes
-    with a Hermitian matrix exactly when ``v`` is one of its eigenvectors.
-    """
-    a = np.asarray(matrix, dtype=complex)
-    v = np.asarray(vector, dtype=complex)
-    lam = float(np.real(np.vdot(v, a @ v)))
-    residual = float(np.linalg.norm(a @ v - lam * v))
-    return lam if residual < tol else None
-
-
 def classify(
     rho: np.ndarray, g: Graph, spectrum: Spectrum, epsilon: float = DEFAULT_EPSILON
 ) -> Classification:
@@ -101,13 +72,13 @@ def classify(
     matrix itself.
     """
     if not 0 < epsilon < math.inf:
-        raise BadEpsilon(f"epsilon must be positive and finite, got {epsilon!r}")
+        raise SchurWalkError(f"epsilon must be positive and finite, got {epsilon!r}")
     mat = np.asarray(rho, dtype=complex)
     m = g.n_edges
     if mat.shape != (m, m):
-        raise DimensionMismatch(f"expected a {m}x{m} density matrix, got shape {mat.shape}")
+        raise SchurWalkError(f"expected a {m}x{m} density matrix, got shape {mat.shape}")
     if spectrum.dimension != m:
-        raise DimensionMismatch(
+        raise SchurWalkError(
             f"spectrum dimension {spectrum.dimension} does not match {m} edges"
         )
 
@@ -176,14 +147,14 @@ def flat_band_state(h: Graph) -> FlatBandState:
     """
     m = h.n_edges
     if m == 0:
-        raise EmptyGraph("graph has no edges")
+        raise SchurWalkError("graph has no edges")
     odd = np.flatnonzero(h.degrees() % 2)
     if odd.size:
         raise OddDegreeVertex(f"vertices {odd.tolist()} have odd degree")
     if m % 2:
         raise OddEdgeCount(f"{m} edges; an even count is required")
     if not is_connected(h):
-        raise Disconnected("graph is not connected")
+        raise SchurWalkError("graph is not connected")
 
     trail = eulerian_trail(h)
     signs = np.zeros(m, dtype=int)
@@ -194,15 +165,6 @@ def flat_band_state(h: Graph) -> FlatBandState:
     assert not vertex_sums.any(), "trail signs do not cancel at every vertex"
 
     return FlatBandState(signs, signs / np.sqrt(m) + 0j)
-
-
-def line_graph_spectral_floor(g: Graph, spectrum: Spectrum) -> float:
-    """Smallest adjacency eigenvalue; below -2 certifies a non-line-graph."""
-    if spectrum.dimension != g.n_vertices:
-        raise DimensionMismatch(
-            f"spectrum dimension {spectrum.dimension} does not match {g.n_vertices} vertices"
-        )
-    return float(spectrum.distinct_eigenvalues[0])
 
 
 def classification_to_json(c: Classification) -> str:

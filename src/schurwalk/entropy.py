@@ -1,4 +1,4 @@
-"""Von Neumann entropy, vertex spectral entropy, and their composition laws.
+"""Von Neumann entropy, vertex spectral entropy, and binary entropy.
 
 All entropies are in bits (base-2 logarithms).  Base 2 is forced by the
 disjoint-union law, which mixes matrix entropies with the binary entropy
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotDensityMatrix, OutOfRange, ZeroLaplacian
+from .errors import SchurWalkError, ZeroLaplacian
 from .states import InducedWeightedGraph
 
 EIGENVALUE_CLIP = 1e-12
@@ -20,25 +20,26 @@ PSD_TOL = 1e-9
 
 def _entropy_bits(probabilities: np.ndarray) -> float:
     # 0 log 0 = 0: numerically-zero eigenvalues are dropped before the log.
+    # An eigenvalue of 1 + eps gives a tiny negative sum; entropy is never
+    # below 0, and max also turns -0.0 into 0.0.
     p = probabilities[probabilities > EIGENVALUE_CLIP]
-    if p.size == 0:
-        return 0.0
-    return float(-(p * np.log2(p)).sum()) + 0.0  # avoid -0.0
+    return max(0.0, float(-(p * np.log2(p)).sum()))
 
 
 def density_eigenvalues(rho: np.ndarray) -> np.ndarray:
     """Eigenvalues of a density matrix, validating its defining properties."""
     mat = np.asarray(rho, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise NotDensityMatrix(f"expected a square matrix, got shape {mat.shape}")
-    if np.abs(mat - mat.conj().T).max() > HERMITIAN_TOL:
-        raise NotDensityMatrix("matrix is not Hermitian within 1e-12")
+        raise SchurWalkError(f"expected a square matrix, got shape {mat.shape}")
+    # Written to fail on NaN as well, which then never reaches the trace test.
+    if not np.abs(mat - mat.conj().T).max() <= HERMITIAN_TOL:
+        raise SchurWalkError("matrix is not Hermitian within 1e-12")
     trace = complex(np.trace(mat))
     if abs(trace - 1.0) > TRACE_TOL:
-        raise NotDensityMatrix(f"trace is {trace!r}, expected 1")
+        raise SchurWalkError(f"trace is {trace!r}, expected 1")
     evals = np.linalg.eigvalsh(mat)
     if evals.min() < -PSD_TOL:
-        raise NotDensityMatrix(f"minimum eigenvalue {evals.min()!r} is negative")
+        raise SchurWalkError(f"minimum eigenvalue {evals.min()!r} is negative")
     return evals
 
 
@@ -64,25 +65,5 @@ def vertex_entropy(induced: InducedWeightedGraph) -> float:
 def binary_entropy(p: float) -> float:
     """``h(p) = -p log2 p - (1-p) log2 (1-p)`` with ``h(0) = h(1) = 0``."""
     if not 0.0 <= p <= 1.0:
-        raise OutOfRange(f"p = {p!r} is outside [0, 1]")
+        raise SchurWalkError(f"p = {p!r} is outside [0, 1]")
     return _entropy_bits(np.array([p, 1.0 - p]))
-
-
-def disjoint_union_entropy_check(
-    rho1: np.ndarray, rho2: np.ndarray, p: float
-) -> tuple[float, float]:
-    """Both sides of the disjoint-union entropy law, computed independently.
-
-    Left: entropy of the block mixture ``p rho1 (+) (1-p) rho2`` computed
-    directly on the block matrix.  Right: ``h(p) + p E(rho1) + (1-p) E(rho2)``.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise OutOfRange(f"p = {p!r} is outside [0, 1]")
-    a = np.asarray(rho1, dtype=complex)
-    b = np.asarray(rho2, dtype=complex)
-    block = np.zeros((a.shape[0] + b.shape[0],) * 2, dtype=complex)
-    block[: a.shape[0], : a.shape[0]] = p * a
-    block[a.shape[0] :, a.shape[0] :] = (1.0 - p) * b
-    lhs = von_neumann_entropy(block)
-    rhs = binary_entropy(p) + p * von_neumann_entropy(a) + (1.0 - p) * von_neumann_entropy(b)
-    return lhs, rhs

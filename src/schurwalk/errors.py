@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Only the classes a caller tells apart have a type of their own; every other
+failure is a :class:`SchurWalkError` whose message says what went wrong.
+"""
 
 
 class SchurWalkError(Exception):
@@ -9,14 +13,6 @@ class ParseError(SchurWalkError):
     """Malformed input text (edge lists, state specs, weight files)."""
 
 
-class EmptyGraph(SchurWalkError):
-    """Operation requires at least one edge (or vertex)."""
-
-
-class Disconnected(SchurWalkError):
-    """Operation requires a connected graph."""
-
-
 class OddDegreeVertex(SchurWalkError):
     """Operation requires every vertex degree to be even."""
 
@@ -25,49 +21,9 @@ class OddEdgeCount(SchurWalkError):
     """Operation requires an even number of edges."""
 
 
-class NotSymmetric(SchurWalkError):
-    """Matrix is not symmetric within tolerance."""
-
-
 class EigensolverFailure(SchurWalkError):
     """The dense eigensolver did not converge."""
 
 
-class DimensionMismatch(SchurWalkError):
-    """Operands have incompatible shapes."""
-
-
-class GraphMismatch(SchurWalkError):
-    """Operands are attached to different base graphs."""
-
-
-class NotNormalized(SchurWalkError):
-    """Edge-state amplitudes do not have unit norm."""
-
-
-class NotDensityMatrix(SchurWalkError):
-    """Matrix is not Hermitian, positive semidefinite, and unit trace."""
-
-
 class ZeroLaplacian(SchurWalkError):
     """Induced Laplacian has zero trace; the state carries no edge weight."""
-
-
-class OutOfRange(SchurWalkError):
-    """Scalar argument outside its admissible interval."""
-
-
-class TooLarge(SchurWalkError):
-    """Input exceeds the size cap of an exhaustive algorithm."""
-
-
-class NotABridge(SchurWalkError):
-    """Edge index is not a bridge of the graph."""
-
-
-class NotFullSupport(SchurWalkError):
-    """Edge state has (numerically) zero amplitude on some edge."""
-
-
-class BadEpsilon(SchurWalkError):
-    """Classification tolerance must be strictly positive."""

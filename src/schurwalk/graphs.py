@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Disconnected, EmptyGraph, OddDegreeVertex, ParseError
+from .errors import OddDegreeVertex, ParseError, SchurWalkError
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ def _endpoints(g: Graph) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class WeightedGraph:
-    """Graph plus one nonnegative weight per edge, in canonical edge order."""
+    """Graph plus one finite nonnegative weight per edge, in canonical edge order."""
 
     graph: Graph
     weights: np.ndarray
@@ -67,6 +67,8 @@ class WeightedGraph:
             raise ValueError(
                 f"expected {self.graph.n_edges} weights, got shape {w.shape}"
             )
+        if w.size and not w.max() < np.inf:  # also true when a weight is NaN
+            raise ValueError("weights must be finite")
         if w.size and w.min() < 0:
             raise ValueError("weights must be nonnegative")
         object.__setattr__(self, "weights", w)
@@ -107,24 +109,6 @@ def line_graph(g: Graph) -> Graph:
     b = incidence_matrix(g).astype(float)
     p, q = np.nonzero(np.triu(b.T @ b, 1))
     return Graph(g.n_edges, tuple(zip(p.tolist(), q.tolist())))
-
-
-def tensor_product(g1: Graph, g2: Graph) -> Graph:
-    """Categorical tensor product; vertex (u1, u2) has index u1 * n2 + u2.
-
-    The adjacency matrix of the result is the Kronecker product of the two
-    adjacency matrices, exactly.
-    """
-    n2 = g2.n_vertices
-    edges = set()
-    for u1, v1 in g1.edges:
-        for u2, v2 in g2.edges:
-            for a, b in (
-                (u1 * n2 + u2, v1 * n2 + v2),
-                (u1 * n2 + v2, v1 * n2 + u2),
-            ):
-                edges.add((min(a, b), max(a, b)))
-    return Graph(g1.n_vertices * n2, tuple(sorted(edges)))
 
 
 def connected_components(g: Graph) -> list[list[int]]:
@@ -204,12 +188,12 @@ def eulerian_trail(g: Graph) -> list[int]:
     the last edge returns to the first edge's start vertex.
     """
     if g.n_edges == 0:
-        raise EmptyGraph("graph has no edges")
+        raise SchurWalkError("graph has no edges")
     odd = np.flatnonzero(g.degrees() % 2)
     if odd.size:
         raise OddDegreeVertex(f"vertices {odd.tolist()} have odd degree")
     if not is_connected(g):
-        raise Disconnected("graph is not connected")
+        raise SchurWalkError("graph is not connected")
 
     incident: list[list[tuple[int, int]]] = [[] for _ in range(g.n_vertices)]
     for idx, (u, v) in enumerate(g.edges):

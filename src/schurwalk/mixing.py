@@ -5,7 +5,7 @@ eigenbasis of a :class:`~schurwalk.spectral.Spectrum` one eigenvalue group at
 a time, with the dominant group taken as the complement of the others,
 never from dense projectors held together and never by integrating;
 the quadrature route exists only as a test oracle (see
-:func:`schurwalk.spectral.numeric_time_average`).  The averaged edge weights of
+:func:`schurwalk.acceptance.numeric_time_average`).  The averaged edge weights of
 a pure state, which are also one column of the mixing matrix, need only
 vectors: ``sum_g |V_g V_g^T e|^2`` with no m x m density.
 """
@@ -16,7 +16,7 @@ import json
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import SchurWalkError
 from .graphs import Graph, _endpoints
 from .spectral import Spectrum, dephase
 from .states import InducedWeightedGraph, edge_state, induced_from_adjacency
@@ -49,7 +49,7 @@ def average_mixing(spectrum: Spectrum) -> np.ndarray:
 def _checked_state(spectrum: Spectrum, e: np.ndarray) -> np.ndarray:
     vec = edge_state(e)
     if vec.shape != (spectrum.dimension,):
-        raise DimensionMismatch(
+        raise SchurWalkError(
             f"state has {vec.shape[0]} amplitudes, spectrum dimension is {spectrum.dimension}"
         )
     return vec
@@ -96,7 +96,7 @@ def averaged_induced(spectrum: Spectrum, g: Graph, e: np.ndarray) -> InducedWeig
     the row sums.
     """
     if g.n_edges != spectrum.dimension:
-        raise DimensionMismatch(
+        raise SchurWalkError(
             f"graph has {g.n_edges} edges, spectrum dimension is {spectrum.dimension}"
         )
     weights = averaged_weights(spectrum, e)
@@ -105,21 +105,6 @@ def averaged_induced(spectrum: Spectrum, g: Graph, e: np.ndarray) -> InducedWeig
     adj[u, v] = weights
     adj[v, u] = weights
     return induced_from_adjacency(adj)
-
-
-def path_mixing_closed_form(n: int) -> np.ndarray:
-    """Average mixing matrix of the line graph of the n-vertex path, in closed form.
-
-    The line graph is the (n-1)-vertex path and its mixing matrix is
-    ``(2J + I + T) / (2n)`` where ``T`` is the index-reversal permutation.
-    Diagonal entries are ``3/(2n)``, except ``2/n`` at the central edge when
-    ``n`` is even.
-    """
-    if n < 2:
-        raise ValueError("need a path with at least one edge")
-    size = n - 1
-    reversal = np.fliplr(np.eye(size))
-    return (2 * np.ones((size, size)) + np.eye(size) + reversal) / (2 * n)
 
 
 def mixing_to_json(matrix: np.ndarray) -> str:

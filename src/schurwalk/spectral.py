@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EigensolverFailure, NotSymmetric
+from .errors import EigensolverFailure, SchurWalkError
 from .graphs import Graph, incidence_matrix
 
 DEFAULT_GROUPING_TOL = 1e-8
@@ -69,23 +69,6 @@ class Spectrum:
         """Eigenvalue of the dominant group; 0.0 for the empty spectrum."""
         return float(self.distinct_eigenvalues[self.dominant]) if self.dimension else 0.0
 
-    @property
-    def projectors(self) -> tuple[np.ndarray, ...]:
-        """Dense orthogonal projector of each group, rebuilt on every access.
-
-        ``I - V_R V_R^T`` for the dominant group and ``V_g V_g^T`` for each
-        other group.  For tests only: it costs one m x m matrix per distinct
-        eigenvalue.
-        """
-        out = []
-        for g in range(len(self.distinct_eigenvalues)):
-            if g == self.dominant:
-                out.append(np.eye(self.dimension) - self.rest_basis @ self.rest_basis.T)
-            else:
-                v_g = self.rest_basis[:, self.rest_groups == g]
-                out.append(v_g @ v_g.T)
-        return tuple(out)
-
 
 def decompose(matrix: np.ndarray, grouping_tol: float = DEFAULT_GROUPING_TOL) -> Spectrum:
     """Spectral decomposition of a real symmetric matrix.
@@ -100,9 +83,9 @@ def decompose(matrix: np.ndarray, grouping_tol: float = DEFAULT_GROUPING_TOL) ->
         raise ValueError(f"grouping_tol must be positive and finite, got {grouping_tol!r}")
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
-    if a.size and np.abs(a - a.T).max() > SYMMETRY_TOL:
-        raise NotSymmetric("matrix is not symmetric within 1e-12")
+        raise SchurWalkError(f"expected a square matrix, got shape {a.shape}")
+    if a.size and not np.abs(a - a.T).max() <= SYMMETRY_TOL:  # also true for NaN entries
+        raise SchurWalkError("matrix is not symmetric within 1e-12")
     sym = (a + a.T) / 2.0
 
     try:
@@ -165,7 +148,7 @@ def _check_square(spectrum: Spectrum, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     n = spectrum.dimension
     if x.shape != (n, n):
-        raise DimensionMismatch(f"expected a {n}x{n} matrix, got shape {x.shape}")
+        raise SchurWalkError(f"expected a {n}x{n} matrix, got shape {x.shape}")
     return x
 
 
@@ -227,40 +210,3 @@ def _diagonal_and_drift(spectrum: Spectrum, x: np.ndarray) -> tuple[np.ndarray, 
     drift = math.sqrt(np.vdot(off, off) + np.vdot(c, c) + np.vdot(e, e))
     cleared = (v_r * (c[0] + e[0].T + v_r @ off[0])).sum(axis=1)
     return parts[0].diagonal() - cleared, drift
-
-
-def numeric_time_average(
-    spectrum: Spectrum, x: np.ndarray, horizon: float, steps: int
-) -> np.ndarray:
-    """Trapezoidal approximation of the finite-time average of U(t) X U(t)^dag.
-
-    Averages over ``[0, horizon]`` with ``steps`` equal subintervals.  This is
-    the brute-force quadrature oracle for :func:`dephase`; the deviation decays
-    like ``1/horizon``.  With the projectors ``P_g`` of the groups this is
-    ``sum_{g,h} F[g, h] P_g X P_h``, where ``F[g, h]`` is the quadrature sum
-    of ``exp(i t (theta_g - theta_h))``, so each step costs k x k phases, not
-    an m x m product.
-    """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
-    x = _check_square(spectrum, x)
-
-    thetas = spectrum.distinct_eigenvalues
-    dt = horizon / steps
-    factors = np.zeros((len(thetas), len(thetas)), dtype=complex)
-    chunk = 65536
-    for lo in range(0, steps + 1, chunk):
-        ts = dt * np.arange(lo, min(lo + chunk, steps + 1))
-        weights = np.ones(ts.shape)
-        if lo == 0:
-            weights[0] = 0.5
-        if lo + chunk >= steps + 1:
-            weights[-1] = 0.5
-        phases = np.exp(1j * np.outer(ts, thetas))
-        factors += (weights[:, None] * phases).T @ phases.conj()
-    n = spectrum.dimension
-    p = np.array(spectrum.projectors).reshape(len(thetas), n, n)  # k x n x n, also for k = 0
-    # sum_g P_g X (sum_h F[g, h] P_h)
-    return (p @ x @ np.tensordot(factors, p, axes=1)).sum(axis=0) * (dt / horizon)

@@ -10,13 +10,12 @@ The entrywise modulus square of that matrix is a nonnegative edge weighting.
 from __future__ import annotations
 
 import cmath
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, GraphMismatch, NotNormalized
-from .graphs import Graph, _endpoints, tensor_product
+from .errors import SchurWalkError
+from .graphs import Graph, _endpoints
 from .spectral import Spectrum
 
 NORM_TOL = 1e-12
@@ -30,17 +29,17 @@ def edge_state(amplitudes: np.ndarray) -> np.ndarray:
     """
     vec = np.asarray(amplitudes, dtype=complex).copy()
     if vec.ndim != 1:
-        raise DimensionMismatch(f"expected a vector, got shape {vec.shape}")
+        raise SchurWalkError(f"expected a vector, got shape {vec.shape}")
     norm_sq = float(np.sum(np.abs(vec) ** 2))
-    if abs(norm_sq - 1.0) > NORM_TOL:
-        raise NotNormalized(f"squared norm is {norm_sq!r}, expected 1")
+    if not abs(norm_sq - 1.0) <= NORM_TOL:  # also rejects NaN
+        raise SchurWalkError(f"squared norm is {norm_sq!r}, expected 1")
     return vec
 
 
 def basis_state(m: int, q: int, phase: float = 0.0) -> np.ndarray:
     """Pure state on edge ``q``, optionally carrying a global phase."""
     if not 0 <= q < m:
-        raise DimensionMismatch(f"edge index {q} out of range for {m} edges")
+        raise SchurWalkError(f"edge index {q} out of range for {m} edges")
     vec = np.zeros(m, dtype=complex)
     vec[q] = np.exp(1j * phase)
     return vec
@@ -49,7 +48,7 @@ def basis_state(m: int, q: int, phase: float = 0.0) -> np.ndarray:
 def uniform_state(m: int, phase: float = 0.0) -> np.ndarray:
     """Equal-amplitude superposition over all ``m`` edges."""
     if m < 1:
-        raise DimensionMismatch("need at least one edge")
+        raise SchurWalkError("need at least one edge")
     return np.full(m, np.exp(1j * phase) / np.sqrt(m), dtype=complex)
 
 
@@ -85,9 +84,9 @@ def schur_state(g: Graph, e: np.ndarray, t: float, spectrum: Spectrum) -> SchurS
     vec = edge_state(e)
     m = g.n_edges
     if vec.shape != (m,):
-        raise DimensionMismatch(f"state has {vec.shape[0]} amplitudes, graph has {m} edges")
+        raise SchurWalkError(f"state has {vec.shape[0]} amplitudes, graph has {m} edges")
     if spectrum.dimension != m:
-        raise DimensionMismatch(
+        raise SchurWalkError(
             f"spectrum dimension {spectrum.dimension} does not match {m} edges"
         )
     v_r = spectrum.rest_basis
@@ -103,7 +102,7 @@ def schur_state(g: Graph, e: np.ndarray, t: float, spectrum: Spectrum) -> SchurS
 def schur_inner(first: SchurState, second: SchurState) -> complex:
     """Inner product ``Tr(M^dag N)`` of two Schur states on the same graph."""
     if first.base_graph != second.base_graph:
-        raise GraphMismatch("Schur states live on different base graphs")
+        raise SchurWalkError("Schur states live on different base graphs")
     return complex(np.vdot(first.entries, second.entries))
 
 
@@ -122,31 +121,3 @@ def induced_graph(state: SchurState) -> InducedWeightedGraph:
     construction.
     """
     return induced_from_adjacency(np.abs(state.entries) ** 2)
-
-
-def schur_tensor(first: SchurState, second: SchurState) -> SchurState:
-    """Kronecker product of two Schur states on the tensor product of their graphs."""
-    product_graph = tensor_product(first.base_graph, second.base_graph)
-    return SchurState(np.kron(first.entries, second.entries), product_graph)
-
-
-def schur_state_to_json(state: SchurState) -> str:
-    """Serialize as ``{"n": ..., "entries": [[v, w, re, im], ...]}`` with v < w."""
-    rows = []
-    for u, v in state.base_graph.edges:
-        z = state.entries[u, v]
-        rows.append([u, v, float(z.real), float(z.imag)])
-    return json.dumps({"entries": rows, "n": state.base_graph.n_vertices}, sort_keys=True)
-
-
-def schur_state_from_json(text: str) -> SchurState:
-    """Inverse of :func:`schur_state_to_json`; listed pairs become the edges."""
-    data = json.loads(text)
-    n = int(data["n"])
-    edges = tuple((int(row[0]), int(row[1])) for row in data["entries"])
-    g = Graph(n, edges)
-    entries = np.zeros((n, n), dtype=complex)
-    for v, w, re, im in data["entries"]:
-        entries[int(v), int(w)] = complex(re, im)
-        entries[int(w), int(v)] = complex(re, -im)
-    return SchurState(entries, g)

@@ -17,14 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    Disconnected,
-    EmptyGraph,
-    NotABridge,
-    NotFullSupport,
-    TooLarge,
-)
+from .errors import SchurWalkError
 from .graphs import (
     Graph,
     WeightedGraph,
@@ -45,7 +38,6 @@ IDENTITY_RTOL = 1e-9
 @dataclass(frozen=True)
 class TreeCount:
     value: float
-    method: str  # "determinant", "exact" or "enumeration"
 
 
 def weighted_laplacian(wg: WeightedGraph) -> np.ndarray:
@@ -62,20 +54,15 @@ def weighted_laplacian(wg: WeightedGraph) -> np.ndarray:
     return lap.astype(float, copy=False)  # integer zeros when there are no edges
 
 
-def tree_count_det(wg: WeightedGraph, deleted_index: int = 0) -> TreeCount:
-    """Weighted spanning-tree count as a principal minor of the Laplacian.
+def tree_count_det(wg: WeightedGraph) -> TreeCount:
+    """Weighted spanning-tree count as the Laplacian minor without vertex 0.
 
-    The result does not depend on ``deleted_index``; a disconnected graph
-    gives (numerically) zero.
+    Every principal minor gives the same count; a disconnected graph gives
+    (numerically) zero.
     """
-    n = wg.graph.n_vertices
-    if n == 0:
-        raise EmptyGraph("graph has no vertices")
-    if not 0 <= deleted_index < n:
-        raise ValueError(f"deleted_index {deleted_index} out of range")
-    keep = np.arange(n) != deleted_index
-    minor = weighted_laplacian(wg)[keep][:, keep]
-    return TreeCount(float(np.linalg.det(minor)), "determinant")
+    if wg.graph.n_vertices == 0:
+        raise SchurWalkError("graph has no vertices")
+    return TreeCount(float(np.linalg.det(weighted_laplacian(wg)[1:, 1:])))
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:
@@ -118,9 +105,7 @@ def tree_count_exact(wg: WeightedGraph) -> TreeCount:
     """
     n = wg.graph.n_vertices
     if n == 0:
-        raise EmptyGraph("graph has no vertices")
-    if not np.isfinite(wg.weights).all():
-        raise ValueError("weights must be finite")
+        raise SchurWalkError("graph has no vertices")
     ratios = [float(w).as_integer_ratio() for w in wg.weights]
     scale = math.lcm(1, *(den for _, den in ratios))
     lap = [[0] * n for _ in range(n)]
@@ -131,7 +116,7 @@ def tree_count_exact(wg: WeightedGraph) -> TreeCount:
         lap[u][u] += w
         lap[v][v] += w
     det = _bareiss_det([row[1:] for row in lap[1:]])
-    return TreeCount(det / scale ** (n - 1), "exact")
+    return TreeCount(det / scale ** (n - 1))
 
 
 def log_tree_count(wg: WeightedGraph) -> float:
@@ -142,7 +127,7 @@ def log_tree_count(wg: WeightedGraph) -> float:
     ``-inf``.
     """
     if wg.graph.n_vertices == 0:
-        raise EmptyGraph("graph has no vertices")
+        raise SchurWalkError("graph has no vertices")
     sign, logdet = np.linalg.slogdet(weighted_laplacian(wg)[1:, 1:])
     return float(logdet) if sign > 0 else -math.inf
 
@@ -216,9 +201,9 @@ def spanning_trees(g: Graph) -> list[tuple[int, ...]]:
     ``m + 1`` deep.
     """
     if g.n_vertices == 0:
-        raise EmptyGraph("graph has no vertices")
+        raise SchurWalkError("graph has no vertices")
     if g.n_edges > MAX_ENUM_EDGES:
-        raise TooLarge(f"{g.n_edges} edges exceeds the enumeration cap {MAX_ENUM_EDGES}")
+        raise SchurWalkError(f"{g.n_edges} edges exceeds the enumeration cap {MAX_ENUM_EDGES}")
     if not is_connected(g):
         return []
     trees: list[tuple[int, ...]] = []
@@ -235,7 +220,7 @@ def tree_count_enum(wg: WeightedGraph) -> TreeCount:
         for idx in tree:
             product *= weights[idx]
         total += product
-    return TreeCount(total, "enumeration")
+    return TreeCount(total)
 
 
 def main_theorem_check(g: Graph, e: np.ndarray, spectrum: Spectrum) -> dict:
@@ -247,14 +232,14 @@ def main_theorem_check(g: Graph, e: np.ndarray, spectrum: Spectrum) -> dict:
     the relative comparison of :func:`scaled_unit_identity`.
     """
     if not is_connected(g):
-        raise Disconnected("graph is not connected")
+        raise SchurWalkError("graph is not connected")
     vec = edge_state(e)
     if vec.shape != (g.n_edges,):
-        raise DimensionMismatch(
+        raise SchurWalkError(
             f"state has {vec.shape[0]} amplitudes, graph has {g.n_edges} edges"
         )
     if np.abs(vec).min() <= 1e-12:
-        raise NotFullSupport("state amplitude vanishes on some edge")
+        raise SchurWalkError("state amplitude vanishes on some edge")
 
     lhs, rhs, passed = scaled_unit_identity(WeightedGraph(g, averaged_weights(spectrum, vec)))
 
@@ -279,7 +264,7 @@ def bridge_factorization_check(wg: WeightedGraph, bridge_index: int) -> dict:
     """Whole-graph count versus bridge weight times the two component counts."""
     g = wg.graph
     if bridge_index not in bridges(g):
-        raise NotABridge(f"edge {bridge_index} is not a bridge")
+        raise SchurWalkError(f"edge {bridge_index} is not a bridge")
     whole = tree_count_det(wg).value
 
     reduced = Graph(g.n_vertices, g.edges[:bridge_index] + g.edges[bridge_index + 1 :])
@@ -294,36 +279,6 @@ def bridge_factorization_check(wg: WeightedGraph, bridge_index: int) -> dict:
     return {"whole": whole, "product": float(product)}
 
 
-def uniform_optimality_scan(g: Graph, samples: int, seed: int) -> dict:
-    """Seeded random search for a simplex weight vector beating the uniform one.
-
-    Samples uniformly from the weight simplex (normalized exponentials) and
-    records the largest observed ratio against the uniform-weight count; no
-    sample should exceed it.
-    """
-    if not is_connected(g):
-        raise Disconnected("graph is not connected")
-    m = g.n_edges
-    rng = np.random.default_rng(seed)
-    uniform_value = tree_count_det(WeightedGraph(g, np.full(m, 1.0 / m))).value
-    max_ratio = 0.0
-    all_within = True
-    for _ in range(samples):
-        w = rng.exponential(size=m)
-        w /= w.sum()
-        value = tree_count_det(WeightedGraph(g, w)).value
-        if value > uniform_value + 1e-12:
-            all_within = False
-        max_ratio = max(max_ratio, value / uniform_value)
-    return {
-        "samples": samples,
-        "seed": seed,
-        "uniform_value": uniform_value,
-        "max_ratio": max_ratio,
-        "all_within_bound": all_within,
-    }
-
-
 def pure_state_tree_count(g: Graph, q: int, spectrum: Spectrum) -> TreeCount:
     """Tree count under the weights a pure state on edge ``q`` averages to.
 
@@ -331,7 +286,7 @@ def pure_state_tree_count(g: Graph, q: int, spectrum: Spectrum) -> TreeCount:
     a global phase on the state would not change it.
     """
     if not is_connected(g):
-        raise Disconnected("graph is not connected")
+        raise SchurWalkError("graph is not connected")
     if not 0 <= q < g.n_edges:
         raise ValueError(f"edge index {q} out of range")
     weights = averaged_weights(spectrum, basis_state(g.n_edges, q))

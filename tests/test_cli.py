@@ -66,7 +66,7 @@ def test_treecount_commands():
     text, _ = run_cli(["treecount", "--builtin", "c4", "--weights", "uniform"])
     data = json.loads(text)
     assert data["passed"] and abs(data["lhs"] - 1 / 16) < 1e-12
-    assert set(data) == {"lhs", "method", "passed", "rhs", "seed"}
+    assert set(data) == {"lhs", "passed", "rhs"}
 
     text, _ = run_cli(["treecount", "--builtin", "k4", "--weights", "unit"])
     data = json.loads(text)
@@ -176,6 +176,10 @@ BAD_OPTION_VALUES = [
     (["classify", "--builtin", "c4", "--epsilon", "nan"], 3),
     (["classify", "--builtin", "c4", "--epsilon", "inf"], 3),
     (["treecount", "--builtin", "k3", "--weights", "file:{weights}"], 2),
+    (["classify", "--builtin", "c4", "--state", "uniform,phase:nan"], 2),
+    (["classify", "--builtin", "c4", "--state", "uniform,phase:inf"], 2),
+    (["classify", "--builtin", "c4", "--state", "vector:{vector}"], 2),
+    (["check-all", "--seed", "-5000"], 2),
 ]
 
 
@@ -183,14 +187,21 @@ BAD_OPTION_VALUES = [
 def test_bad_option_values_are_reported_errors(argv, code, tmp_path, capsys):
     weights = tmp_path / "weights.txt"
     weights.write_text("0.3\n-0.5\n0.9\n")
-    assert main([arg.format(weights=weights) for arg in argv]) == code
+    vector = tmp_path / "vector.txt"
+    vector.write_text("0.5\nnan\n0.5\n0.5\n")
+    assert main([arg.format(weights=weights, vector=vector) for arg in argv]) == code
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("error:") == 1 and err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
-    "argv", [["mix", "--builtin", "p4", "--times", "1"], ["check-all", "--input", "x"]]
+    "argv",
+    [
+        ["mix", "--builtin", "p4", "--times", "1"],
+        ["check-all", "--input", "x"],
+        ["treecount", "--builtin", "c4", "--seed", "1"],
+    ],
 )
 def test_commands_reject_options_they_do_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:

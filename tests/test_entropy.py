@@ -13,28 +13,35 @@ from schurwalk import (
     complete_graph,
     cycle_graph,
     decompose,
-    disjoint_union_entropy_check,
     evolve,
     induced_graph,
     line_graph,
     line_graph_spectrum,
     path_graph,
     schur_state,
+    uniform_state,
     vertex_entropy,
     von_neumann_entropy,
 )
 from schurwalk.acceptance import (
+    disjoint_union_entropy_check,
     random_connected_graph,
     random_density_matrix,
     random_edge_state,
 )
-from schurwalk.errors import NotDensityMatrix, OutOfRange, ZeroLaplacian
+from schurwalk.errors import SchurWalkError, ZeroLaplacian
 from schurwalk.states import InducedWeightedGraph, induced_from_adjacency
 
 
 def test_pure_state_entropy_is_zero():
     vec = random_edge_state(np.random.default_rng(0), 5)
     assert von_neumann_entropy(np.outer(vec, vec.conj())) == 0.0
+    # The uniform state's density has the eigenvalue 1 + eps for m = 3, 6, 7;
+    # rounding may leave a positive entropy of order eps, never a negative one.
+    for m in range(2, 9):
+        vec = uniform_state(m)
+        value = von_neumann_entropy(np.outer(vec, vec.conj()))
+        assert 0.0 <= value < 1e-14 and np.copysign(1.0, value) == 1.0
 
 
 def test_maximally_mixed_entropy():
@@ -43,12 +50,14 @@ def test_maximally_mixed_entropy():
 
 
 def test_von_neumann_rejects_non_densities():
-    with pytest.raises(NotDensityMatrix):
-        von_neumann_entropy(np.eye(3))  # trace 3
-    with pytest.raises(NotDensityMatrix):
-        von_neumann_entropy(np.array([[0.5, 1.0], [0.0, 0.5]]))  # not Hermitian
-    with pytest.raises(NotDensityMatrix):
-        von_neumann_entropy(np.diag([1.5, -0.5]))  # not PSD
+    with pytest.raises(SchurWalkError, match="trace is .*, expected 1"):
+        von_neumann_entropy(np.eye(3))
+    with pytest.raises(SchurWalkError, match="not Hermitian"):
+        von_neumann_entropy(np.array([[0.5, 1.0], [0.0, 0.5]]))
+    with pytest.raises(SchurWalkError, match="minimum eigenvalue .* is negative"):
+        von_neumann_entropy(np.diag([1.5, -0.5]))
+    with pytest.raises(SchurWalkError, match="not Hermitian"):
+        von_neumann_entropy(np.full((2, 2), np.nan))
 
 
 def test_tensor_additivity():
@@ -66,7 +75,7 @@ def test_binary_entropy_values():
     assert binary_entropy(0.0) == 0.0
     assert binary_entropy(1.0) == 0.0
     assert abs(binary_entropy(0.25) - (2 - 0.75 * np.log2(3))) < 1e-12
-    with pytest.raises(OutOfRange):
+    with pytest.raises(SchurWalkError, match=r"p = 1.1 is outside \[0, 1\]"):
         binary_entropy(1.1)
 
 

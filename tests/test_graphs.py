@@ -25,10 +25,9 @@ from schurwalk import (
     line_graph,
     parse_edge_list,
     path_graph,
-    tensor_product,
 )
 from schurwalk.acceptance import random_connected_graph
-from schurwalk.errors import Disconnected, EmptyGraph, OddDegreeVertex, ParseError
+from schurwalk.errors import OddDegreeVertex, ParseError, SchurWalkError
 from schurwalk.treecount import weighted_laplacian
 
 
@@ -44,6 +43,16 @@ def test_graph_rejects_self_loops_duplicates_and_range():
         Graph(3, ((0, 1), (1, 0)))
     with pytest.raises(ValueError):
         Graph(2, ((0, 2),))
+
+
+def test_weighted_graph_rejects_bad_weights():
+    p3 = path_graph(3)
+    for bad in ([np.nan, 1.0], [1.0, np.inf], [-np.inf, 1.0], [-0.5, 1.0]):
+        with pytest.raises(ValueError, match="weights must be"):
+            WeightedGraph(p3, np.array(bad))
+    with pytest.raises(ValueError, match="expected 2 weights"):
+        WeightedGraph(p3, np.ones(3))
+    assert WeightedGraph(Graph(2, ()), np.array([])).weights.shape == (0,)
 
 
 def test_adjacency_examples():
@@ -175,22 +184,6 @@ def test_line_graph_degree_law():
             assert line_deg[idx] == deg[u] + deg[v] - 2
 
 
-def test_tensor_product_examples():
-    k2 = Graph(2, ((0, 1),))
-    product = tensor_product(k2, k2)
-    assert product.n_vertices == 4 and product.edges == ((0, 3), (1, 2))
-    assert tensor_product(complete_graph(3), Graph(1, ())).n_edges == 0
-
-
-def test_tensor_product_matches_kronecker():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        g1 = random_connected_graph(rng, 2, 4)
-        g2 = random_connected_graph(rng, 2, 4)
-        expected = np.kron(adjacency_matrix(g1), adjacency_matrix(g2))
-        assert (adjacency_matrix(tensor_product(g1, g2)) == expected).all()
-
-
 def test_bridges():
     assert bridges(path_graph(4)) == [0, 1, 2]
     assert bridges(cycle_graph(4)) == []
@@ -241,10 +234,10 @@ def test_eulerian_trail_examples():
 
     with pytest.raises(OddDegreeVertex):
         eulerian_trail(path_graph(3))
-    with pytest.raises(EmptyGraph):
+    with pytest.raises(SchurWalkError, match="graph has no edges"):
         eulerian_trail(Graph(1, ()))
     two_triangles = Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
-    with pytest.raises(Disconnected):
+    with pytest.raises(SchurWalkError, match="graph is not connected"):
         eulerian_trail(two_triangles)
 
 

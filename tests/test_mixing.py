@@ -20,13 +20,16 @@ from schurwalk import (
     dephase,
     line_graph_spectrum,
     mixing_to_json,
-    numeric_time_average,
     path_graph,
-    path_mixing_closed_form,
     uniform_state,
 )
-from schurwalk.acceptance import random_connected_graph, random_edge_state
-from schurwalk.errors import DimensionMismatch
+from schurwalk.acceptance import (
+    numeric_time_average,
+    path_mixing_closed_form,
+    random_connected_graph,
+    random_edge_state,
+)
+from schurwalk.errors import SchurWalkError
 from schurwalk.treecount import weighted_laplacian
 from spectra import SMALL_SPECTRA, random_state, reference_eigenspaces, seeds, symmetric_matrices
 
@@ -88,7 +91,7 @@ def test_averaged_density_is_a_density_and_a_fixed_point():
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert np.linalg.eigvalsh(rho).min() >= -1e-9
     assert np.abs(dephase(s, rho) - rho).max() < 1e-9
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(SchurWalkError, match="amplitudes, spectrum dimension is"):
         averaged_density(s, random_edge_state(rng, g.n_edges + 1))
 
 
@@ -166,7 +169,7 @@ def test_mixing_columns_are_basis_state_weights_and_doubly_stochastic(a):
 
 def test_averaged_weights_rejects_a_wrong_size_state():
     s = line_graph_spectrum(path_graph(4))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(SchurWalkError, match="state has 4 amplitudes, spectrum dimension is 3"):
         averaged_weights(s, uniform_state(4))
 
 

@@ -21,10 +21,10 @@ from schurwalk import (
     incidence_matrix,
     line_graph,
     line_graph_spectrum,
-    numeric_time_average,
     path_graph,
 )
-from schurwalk.errors import DimensionMismatch, NotSymmetric
+from schurwalk.acceptance import numeric_time_average, projectors
+from schurwalk.errors import SchurWalkError
 from schurwalk.spectral import DEFAULT_GROUPING_TOL
 from spectra import (
     SMALL_SPECTRA,
@@ -44,14 +44,14 @@ def _random_symmetric(rng, n):
 def test_complete_graph_spectrum():
     s = decompose(adjacency_matrix(complete_graph(3)))
     assert np.allclose(s.distinct_eigenvalues, [-1.0, 2.0])
-    assert np.allclose(s.projectors[1], np.ones((3, 3)) / 3, atol=1e-12)
-    assert round(np.trace(s.projectors[0])) == 2  # rank of the -1 eigenspace
+    assert np.allclose(projectors(s)[1], np.ones((3, 3)) / 3, atol=1e-12)
+    assert round(np.trace(projectors(s)[0])) == 2  # rank of the -1 eigenspace
 
 
 def test_zero_matrix_spectrum():
     s = decompose(np.zeros((4, 4)))
     assert np.allclose(s.distinct_eigenvalues, [0.0])
-    assert np.allclose(s.projectors[0], np.eye(4))
+    assert np.allclose(projectors(s)[0], np.eye(4))
 
 
 def test_flat_band_multiplicity_matches_incidence_kernel():
@@ -59,7 +59,7 @@ def test_flat_band_multiplicity_matches_incidence_kernel():
     s = line_graph_spectrum(h)
     idx = int(np.argmin(np.abs(s.distinct_eigenvalues - (-2.0))))
     assert abs(s.distinct_eigenvalues[idx] + 2.0) < 1e-9
-    multiplicity = round(np.trace(s.projectors[idx]))
+    multiplicity = round(np.trace(projectors(s)[idx]))
     kernel_dim = h.n_edges - np.linalg.matrix_rank(incidence_matrix(h))
     assert multiplicity == kernel_dim == 2
 
@@ -69,14 +69,14 @@ def test_spectrum_invariants_on_random_matrices():
     for n in range(2, 11):
         a = _random_symmetric(rng, n)
         s = decompose(a)
-        resolution = sum(s.projectors)
+        resolution = sum(projectors(s))
         assert np.abs(resolution - np.eye(n)).max() < 1e-9
         reconstruction = sum(
-            theta * proj for theta, proj in zip(s.distinct_eigenvalues, s.projectors)
+            theta * proj for theta, proj in zip(s.distinct_eigenvalues, projectors(s))
         )
         assert np.abs(reconstruction - a).max() < 1e-9
-        for i, pi in enumerate(s.projectors):
-            for j, pj in enumerate(s.projectors):
+        for i, pi in enumerate(projectors(s)):
+            for j, pj in enumerate(projectors(s)):
                 target = pi if i == j else 0.0
                 assert np.abs(pi @ pj - target).max() < 1e-9
         gaps = np.diff(s.distinct_eigenvalues)
@@ -85,9 +85,11 @@ def test_spectrum_invariants_on_random_matrices():
 
 
 def test_decompose_rejects_asymmetric_input():
-    with pytest.raises(NotSymmetric):
+    with pytest.raises(SchurWalkError, match="not symmetric within 1e-12"):
         decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(NotSymmetric):
+    with pytest.raises(SchurWalkError, match="not symmetric within 1e-12"):
+        decompose(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+    with pytest.raises(SchurWalkError, match=r"expected a square matrix, got shape \(2, 3\)"):
         decompose(np.zeros((2, 3)))
     for tol in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError):
@@ -123,7 +125,7 @@ def test_dephase_fixed_points_and_projection():
     once = dephase(s, x)
     assert np.abs(dephase(s, once) - once).max() < 1e-9
     assert np.abs(dephase(s, x).conj().T - dephase(s, x.conj().T)).max() < 1e-9
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(SchurWalkError, match=f"expected a {n}x{n} matrix"):
         dephase(s, np.zeros((n + 1, n + 1)))
 
 
@@ -147,7 +149,7 @@ def test_numeric_time_average_validates_arguments():
         numeric_time_average(s, np.zeros((2, 2)), -1.0, 100)
     with pytest.raises(ValueError):
         numeric_time_average(s, np.zeros((2, 2)), 1.0, 1)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(SchurWalkError, match="expected a 2x2 matrix"):
         numeric_time_average(s, np.zeros((3, 3)), 1.0, 100)
 
 
@@ -200,8 +202,8 @@ def test_dominant_group_and_its_complement(a):
     assert s.rest_basis.shape == (s.dimension, s.dimension - max(ranks))
     complement = np.eye(s.dimension) - s.rest_basis @ s.rest_basis.T
     assert np.abs(complement - spaces[s.dominant][1]).max() < 1e-12
-    assert len(s.projectors) == len(spaces)
-    for proj, (_, expected) in zip(s.projectors, spaces):
+    assert len(projectors(s)) == len(spaces)
+    for proj, (_, expected) in zip(projectors(s), spaces):
         assert np.abs(proj - expected).max() < 1e-12
     assert s.dominant not in s.rest_groups
     assert (s.rest_same_group == (s.rest_groups[:, None] == s.rest_groups)).all()

@@ -1,4 +1,4 @@
-"""Schur states: construction, inner product, induced weights, tensor products."""
+"""Schur states: construction, inner product, induced weights, Kronecker identities."""
 
 from __future__ import annotations
 
@@ -19,21 +19,20 @@ from schurwalk import (
     path_graph,
     schur_inner,
     schur_state,
-    schur_state_from_json,
-    schur_state_to_json,
-    schur_tensor,
-    tensor_product,
     uniform_state,
 )
 from schurwalk.acceptance import random_connected_graph, random_edge_state
-from schurwalk.errors import DimensionMismatch, GraphMismatch, NotNormalized
+from schurwalk.errors import SchurWalkError
 from spectra import seeds
 
 
 def test_edge_state_rejects_bad_input():
-    with pytest.raises(NotNormalized):
+    with pytest.raises(SchurWalkError, match="squared norm is 2.0, expected 1"):
         edge_state(np.array([1.0, 1.0]))
-    with pytest.raises(DimensionMismatch):
+    for bad in ([np.nan, 0, 0], [1.0, np.nan], [np.inf, 0]):
+        with pytest.raises(SchurWalkError, match="expected 1"):
+            edge_state(np.array(bad))
+    with pytest.raises(SchurWalkError, match="expected a vector"):
         edge_state(np.eye(2))
     vec = edge_state(np.array([0.6, 0.8j]))
     assert vec.dtype == complex
@@ -43,7 +42,7 @@ def test_basis_and_uniform_states():
     vec = basis_state(4, 2, phase=np.pi / 3)
     assert abs(vec[2] - np.exp(1j * np.pi / 3)) < 1e-15
     assert abs(np.linalg.norm(uniform_state(7)) - 1.0) < 1e-12
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(SchurWalkError, match="edge index 3 out of range for 3 edges"):
         basis_state(3, 3)
 
 
@@ -148,7 +147,7 @@ def test_schur_inner_examples():
     assert abs(schur_inner(a, b) - np.conj(schur_inner(b, a))) < 1e-12
 
     other = SchurState(np.zeros((4, 4), dtype=complex), path_graph(4))
-    with pytest.raises(GraphMismatch):
+    with pytest.raises(SchurWalkError, match="different base graphs"):
         schur_inner(m, other)
 
 
@@ -180,26 +179,6 @@ def test_induced_graph_at_time_zero_and_total_weight():
         assert abs(ig.adjacency.sum() - 2.0) < 1e-9
         assert np.abs(ig.laplacian @ np.ones(4)).max() < 1e-12
         assert np.abs(ig.laplacian.T @ np.ones(4)).max() < 1e-12
-
-
-def test_tensor_of_induced_weights_is_kronecker():
-    rng = np.random.default_rng(31)
-    g1, g2 = path_graph(3), complete_graph(3)
-    s1, s2 = line_graph_spectrum(g1), line_graph_spectrum(g2)
-    a = schur_state(g1, random_edge_state(rng, g1.n_edges), 0.8, s1)
-    b = schur_state(g2, random_edge_state(rng, g2.n_edges), 1.9, s2)
-    combined = schur_tensor(a, b)
-    assert combined.base_graph == tensor_product(g1, g2)
-    expected = np.kron(induced_graph(a).adjacency, induced_graph(b).adjacency)
-    assert np.abs(induced_graph(combined).adjacency - expected).max() < 1e-12
-    # support and hermiticity carry over exactly
-    good = set(combined.base_graph.edges)
-    n = combined.base_graph.n_vertices
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (u, v) not in good:
-                assert combined.entries[u, v] == 0
-            assert combined.entries[v, u] == np.conj(combined.entries[u, v])
 
 
 def test_kronecker_schur_identity_is_exact():
@@ -244,23 +223,3 @@ def test_bilinear_form_factorizes_over_tensor_states():
     lhs = ef.conj() @ (np.conj(big) * big) @ ef
     rhs = (e.conj() @ (np.conj(s) * s) @ e) * (f.conj() @ (np.conj(t) * t) @ f)
     assert abs(lhs - rhs) < 1e-12
-
-
-def test_tensor_with_zero_state_is_zero():
-    g = path_graph(3)
-    s = line_graph_spectrum(g)
-    a = schur_state(g, basis_state(2, 0), 0.5, s)
-    zero = SchurState(np.zeros((1, 1), dtype=complex), Graph(1, ()))
-    combined = schur_tensor(a, zero)
-    assert not combined.entries.any()
-
-
-def test_json_round_trip():
-    g = path_graph(4)
-    s = line_graph_spectrum(g)
-    state = schur_state(g, random_edge_state(np.random.default_rng(3), 3), 2.2, s)
-    text = schur_state_to_json(state)
-    recovered = schur_state_from_json(text)
-    assert recovered.base_graph == g
-    assert np.abs(recovered.entries - state.entries).max() < 1e-15
-    assert schur_state_to_json(recovered) == text

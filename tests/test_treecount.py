@@ -30,17 +30,10 @@ from schurwalk import (
     tree_count_det,
     tree_count_enum,
     tree_count_exact,
-    uniform_optimality_scan,
     uniform_state,
 )
-from schurwalk.acceptance import random_connected_graph
-from schurwalk.errors import (
-    Disconnected,
-    EmptyGraph,
-    NotABridge,
-    NotFullSupport,
-    TooLarge,
-)
+from schurwalk.acceptance import random_connected_graph, uniform_optimality_scan
+from schurwalk.errors import SchurWalkError
 from schurwalk.graphs import is_connected
 from schurwalk.mixing import averaged_induced
 from schurwalk.treecount import log_tree_count, scaled_unit_identity, weighted_laplacian
@@ -125,13 +118,13 @@ def test_single_vertex_counts_one():
     wg = WeightedGraph(Graph(1, ()), np.array([]))
     assert tree_count_det(wg).value == 1.0
     assert tree_count_enum(wg).value == 1.0
-    with pytest.raises(EmptyGraph):
+    with pytest.raises(SchurWalkError, match="graph has no vertices"):
         tree_count_det(WeightedGraph(Graph(0, ()), np.array([])))
 
 
 def test_enumeration_cap():
     big = complete_graph(8)  # 28 edges
-    with pytest.raises(TooLarge):
+    with pytest.raises(SchurWalkError, match="28 edges exceeds the enumeration cap 24"):
         spanning_trees(big)
 
 
@@ -145,10 +138,9 @@ def test_exact_count_reference_values():
     assert tree_count_exact(c5).value == 0.0
     c5 = WeightedGraph(cycle_graph(5), np.array([0.0, 0.0, 1.0, 1.0, 1.0]))
     assert tree_count_exact(c5).value == 0.0
-    assert tree_count_exact(c5).method == "exact"
-    with pytest.raises(EmptyGraph):
+    with pytest.raises(SchurWalkError, match="graph has no vertices"):
         tree_count_exact(WeightedGraph(Graph(0, ()), np.array([])))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weights must be finite"):
         tree_count_exact(WeightedGraph(cycle_graph(3), np.array([1.0, np.inf, 1.0])))
 
 
@@ -173,7 +165,9 @@ def test_methods_agree_and_deletion_is_irrelevant():
         w = rng.uniform(0.05, 1.0, size=g.n_edges)
         wg = WeightedGraph(g, w)
         enum = tree_count_enum(wg).value
-        values = [tree_count_det(wg, i).value for i in range(g.n_vertices)]
+        lap = weighted_laplacian(wg)
+        minors = [np.delete(np.delete(lap, i, 0), i, 1) for i in range(g.n_vertices)]
+        values = [tree_count_det(wg).value] + [float(np.linalg.det(x)) for x in minors]
         assert max(values) - min(values) < 1e-10
         assert abs(values[0] - enum) <= 1e-9 * max(1.0, enum)
         assert abs(_eigen_product_count(wg) - enum) <= 1e-8 * max(1.0, enum)
@@ -206,10 +200,10 @@ def test_main_theorem_flags_noncommutative_states():
 
 def test_main_theorem_preconditions():
     g = Graph(4, ((0, 1), (2, 3)))
-    with pytest.raises(Disconnected):
+    with pytest.raises(SchurWalkError, match="graph is not connected"):
         main_theorem_check(g, uniform_state(2), decompose(np.zeros((2, 2))))
     p4 = path_graph(4)
-    with pytest.raises(NotFullSupport):
+    with pytest.raises(SchurWalkError, match="state amplitude vanishes on some edge"):
         main_theorem_check(p4, basis_state(3, 1), line_graph_spectrum(p4))
 
 
@@ -260,7 +254,7 @@ def test_bridge_factorization_examples():
         assert abs(report["whole"] - np.prod(w)) < 1e-12
         assert abs(report["whole"] - report["product"]) < 1e-12
 
-    with pytest.raises(NotABridge):
+    with pytest.raises(SchurWalkError, match="edge 0 is not a bridge"):
         bridge_factorization_check(WeightedGraph(cycle_graph(4), np.ones(4)), 0)
 
 
@@ -273,8 +267,16 @@ def test_uniform_optimality_scan():
     wg = WeightedGraph(cycle_graph(4), np.array([1.0, 0.0, 0.0, 0.0]))
     assert abs(tree_count_det(wg).value) < 1e-15
 
-    with pytest.raises(Disconnected):
+    with pytest.raises(SchurWalkError, match="graph is not connected"):
         uniform_optimality_scan(Graph(4, ((0, 1), (2, 3))), samples=5, seed=0)
+
+    # Uniform weights are not optimal on every graph: on the paw (a triangle
+    # with a pendant edge) (2/9, 2/9, 2/9, 1/3) beats them by 256/243.
+    paw = Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
+    best = tree_count_det(WeightedGraph(paw, np.array([2, 2, 2, 3]) / 9)).value
+    uniform = tree_count_det(WeightedGraph(paw, np.full(4, 0.25))).value
+    assert abs(best / uniform - 256 / 243) < 1e-12
+    assert not uniform_optimality_scan(paw, samples=1000, seed=0)["all_within_bound"]
 
 
 def test_pure_state_tree_counts_on_paths():
